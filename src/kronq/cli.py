@@ -9,9 +9,11 @@ Subcommands:
     homext  morphism/extension space dimensions between two modules
 
 Output formats: text (default), json, csv.  Exit codes: 0 success, 1
-runtime error (including unrealizable verification requests), 2 parse
-error, 3 evaluation point is not a prime power (result still printed),
-4 verification mismatch.  Errors go to stderr only.
+runtime error (including unrealizable verification requests, a module too
+deep for the interpreter's recursion limit, and an engine value that
+fails its polynomial check), 2 parse error, 3 evaluation point is not a
+prime power (result still printed), 4 verification mismatch.  Errors go
+to stderr only, as one line.
 """
 
 from __future__ import annotations
@@ -299,7 +301,7 @@ def main(argv=None) -> int:
     except (ModuleParseError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
+    except (ValueError, RecursionError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

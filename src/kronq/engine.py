@@ -16,8 +16,18 @@ summation bounds come from the dimension guards of the reflected module,
 never from vanishing of the Gaussian factor: with a negative upper argument
 the Gaussian is a nonzero signed Laurent monomial and dropping such terms
 would corrupt the result.  Negative exponents cancel across the sum; every
-memoized value is checked to be an honest polynomial with nonnegative
+computed value is checked to be an honest polynomial with nonnegative
 coefficients.
+
+A deep count visits at most a few hundred descriptors, hundreds of
+thousands of times, so the engine derives what it needs from a descriptor
+once: each distinct descriptor (up to point labels) gets one
+:class:`_Record` holding its dimension pair, its closed-form counter, the
+reflected descriptor of each recursion and the memo of its values.  The
+recursions then work on records only.  A record names its reflected records by their position in
+the engine's record list, not by reference: a regular-only module reflects
+to itself, and a record pointing at itself would keep a dropped engine's
+memo alive until the cyclic garbage collector runs.
 """
 
 from __future__ import annotations
@@ -42,61 +52,49 @@ from .qbinom import gauss
 __all__ = ["CountingEngine", "count", "recursion_a", "recursion_b"]
 
 
+class _Record:
+    """What the engine knows about one descriptor.
+
+    ``closed`` is ``(counter, index)`` when a closed form answers every
+    count of the module.  ``down_a`` is the position of the plus-reflected
+    record of recursion_a; ``down_b`` is ``(t, position)`` for recursion_b,
+    t being the number of I0 summands.  Both are filled in on first use.
+    ``memo`` maps (a, b) to a count, or is None when memoization is off.
+    """
+
+    def __init__(self, module: KroneckerDescriptor, closed, memo: dict | None):
+        self.module = module
+        self.m, self.n = module.dim_vector()
+        self.closed = closed
+        self.down_a: int | None = None
+        self.down_b: tuple[int, int] | None = None
+        self.memo = memo
+
+
 class CountingEngine:
     """Memoized counter; results are pure functions of the inputs.
 
     ``use_closed_forms=False`` forces indecomposables through the recursion
-    (used to cross-check the closed formulas); ``memoize=False`` disables
-    the cache, which must not change any value.  The cache is a plain dict
-    keyed by the label-normalized descriptor, safe under CPython's
-    interpreter lock; concurrent callers see identical values either way.
+    (used to cross-check the closed formulas).  ``memoize=False`` disables
+    the value cache, which must not change any value; the per-descriptor
+    records (dimensions, closed-form choice, reflected descriptors) are
+    kept either way.  Records bake in both choices, so they are fixed when
+    the engine is built.  Records are found by the label-normalized
+    ``counting_key`` and live as long as the engine.  The dicts are safe
+    under CPython's interpreter lock; concurrent callers see identical
+    values either way.
     """
 
     def __init__(self, use_closed_forms: bool = True, memoize: bool = True):
         self.use_closed_forms = use_closed_forms
-        self._memo: dict | None = {} if memoize else None
+        self._memoize = memoize
+        self._records: list[_Record] = []
+        self._positions: dict = {}  # counting_key -> index into _records
 
     def count(self, module: KroneckerDescriptor, a: int, b: int) -> LaurentPoly:
-        m, n = module.dim_vector()
-        if a < 0 or b < 0 or a > m or b > n:
-            return ZERO
-        if (a, b) == (0, 0) or (a, b) == (m, n):
-            return ONE
-        key = (module.counting_key(), a, b)
-        if self._memo is not None:
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
-        result = self._dispatch(module, a, b)
-        if not result.is_polynomial or not result.has_nonnegative_coefficients:
-            raise AssertionError(
-                f"count({module}, {a}, {b}) produced {result}; "
-                "negative terms failed to cancel"
-            )
-        if self._memo is not None:
-            self._memo[key] = result
-        return result
+        return self._count(self._record(module), a, b)
 
-    def _dispatch(self, module, a, b):
-        if self.use_closed_forms:
-            ind = module.single_indecomposable()
-            if isinstance(ind, Preprojective):
-                return count_preprojective(ind.n, a, b)
-            if isinstance(ind, Preinjective):
-                return count_preinjective(ind.n, a, b)
-            if isinstance(ind, Regular) and ind.degree == 1:
-                return count_regular_deg1(ind.length, a, b)
-        if module.preprojective:
-            return self.recursion_a(module, a, b)
-        if module.preinjective:
-            return self.recursion_b(module, a, b)
-        if a < b:
-            return ZERO  # nothing preinjective embeds in a regular module
-        if a > b:
-            return self.recursion_a(module, a, b)
-        return regular_diagonal_count(module, a)
-
-    def recursion_a(self, module, a: int, b: int) -> LaurentPoly:
+    def recursion_a(self, module: KroneckerDescriptor, a: int, b: int) -> LaurentPoly:
         """Reduce through the reflection that removes the projective simple.
 
         With M = s*P0 + M' + t*I0 of dimension (m, n), l = a - b and
@@ -107,25 +105,9 @@ class CountingEngine:
 
         where c runs over the window allowed by N's vertex-2 dimension.
         """
-        s, mp, t = module.split_socle()
-        m, n = module.dim_vector()
-        refl = (mp + preinjective(0, t) if t else mp).reflect_plus()
-        l = a - b
-        n_refl = refl.dim_vector().b
-        c_lo = max(0, l - b)
-        c_hi = n_refl - (b - l)
-        total = ZERO
-        for c in range(c_lo, c_hi + 1):
-            sub = self.count(refl, a - l, b - l + c)
-            if sub.is_zero:
-                continue
-            g = gauss(c, m - 2 * b)
-            if g.is_zero:
-                continue
-            total = total + (g * sub).shift(c * (b - l + c))
-        return total
+        return self._recursion_a(self._record(module), a, b)
 
-    def recursion_b(self, module, a: int, b: int) -> LaurentPoly:
+    def recursion_b(self, module: KroneckerDescriptor, a: int, b: int) -> LaurentPoly:
         """Mirror recursion removing the injective simple.
 
         With the same splitting and N the minus-reflection of s*P0 + M':
@@ -138,19 +120,110 @@ class CountingEngine:
         first index: the t copies of the injective simple stay inside
         every submodule counted on the reflected side.
         """
-        s, mp, t = module.split_socle()
-        m, n = module.dim_vector()
-        refl = (preprojective(0, s) + mp if s else mp).reflect_minus()
-        l = a - b
-        m_refl, n_refl = refl.dim_vector()
-        y = b + l
-        if y < 0 or y > n_refl:
+        return self._recursion_b(self._record(module), a, b)
+
+    # -- records ---------------------------------------------------------
+
+    def _position(self, module: KroneckerDescriptor) -> int:
+        key = module.counting_key()
+        pos = self._positions.get(key)
+        if pos is None:
+            closed = None
+            if self.use_closed_forms:
+                ind = module.single_indecomposable()
+                if isinstance(ind, Preprojective):
+                    closed = (count_preprojective, ind.n)
+                elif isinstance(ind, Preinjective):
+                    closed = (count_preinjective, ind.n)
+                elif isinstance(ind, Regular) and ind.degree == 1:
+                    closed = (count_regular_deg1, ind.length)
+            # build the record before registering its key: a RecursionError
+            # inside dim_vector must not leave the key on a missing record
+            self._records.append(_Record(module, closed, {} if self._memoize else None))
+            pos = self._positions[key] = len(self._records) - 1
+        return pos
+
+    def _record(self, module: KroneckerDescriptor) -> _Record:
+        return self._records[self._position(module)]
+
+    def _down_a(self, rec: _Record) -> _Record:
+        if rec.down_a is None:
+            _, mp, t = rec.module.split_socle()
+            rec.down_a = self._position((mp + preinjective(0, t) if t else mp).reflect_plus())
+        return self._records[rec.down_a]
+
+    def _down_b(self, rec: _Record) -> tuple[int, _Record]:
+        if rec.down_b is None:
+            s, mp, t = rec.module.split_socle()
+            rec.down_b = (t, self._position((preprojective(0, s) + mp if s else mp).reflect_minus()))
+        t, pos = rec.down_b
+        return t, self._records[pos]
+
+    # -- counting ----------------------------------------------------------
+
+    def _count(self, rec: _Record, a: int, b: int) -> LaurentPoly:
+        if a < 0 or b < 0 or a > rec.m or b > rec.n:
             return ZERO
-        d_lo = max(0, a + l + t - m_refl)
+        if (a == 0 and b == 0) or (a == rec.m and b == rec.n):
+            return ONE
+        memo = rec.memo
+        if memo is not None:
+            hit = memo.get((a, b))
+            if hit is not None:
+                return hit
+        result = self._dispatch(rec, a, b)
+        if not result.is_polynomial or not result.has_nonnegative_coefficients:
+            raise AssertionError(
+                f"count({rec.module}, {a}, {b}) produced {result}; "
+                "negative terms failed to cancel"
+            )
+        if memo is not None:
+            memo[(a, b)] = result
+        return result
+
+    def _dispatch(self, rec: _Record, a: int, b: int) -> LaurentPoly:
+        if rec.closed is not None:
+            counter, index = rec.closed
+            return counter(index, a, b)
+        module = rec.module
+        if module.preprojective:
+            return self._recursion_a(rec, a, b)
+        if module.preinjective:
+            return self._recursion_b(rec, a, b)
+        if a < b:
+            return ZERO  # nothing preinjective embeds in a regular module
+        if a > b:
+            return self._recursion_a(rec, a, b)
+        return regular_diagonal_count(module, a)
+
+    def _recursion_a(self, rec: _Record, a: int, b: int) -> LaurentPoly:
+        refl = self._down_a(rec)
+        l = a - b
+        c_lo = max(0, l - b)
+        c_hi = refl.n - (b - l)
+        total = ZERO
+        for c in range(c_lo, c_hi + 1):
+            sub = self._count(refl, a - l, b - l + c)
+            if sub.is_zero:
+                continue
+            g = gauss(c, rec.m - 2 * b)
+            if g.is_zero:
+                continue
+            total = total + (g * sub).shift(c * (b - l + c))
+        return total
+
+    def _recursion_b(self, rec: _Record, a: int, b: int) -> LaurentPoly:
+        t, refl = self._down_b(rec)
+        m, n = rec.m, rec.n
+        l = a - b
+        y = b + l
+        if y < 0 or y > refl.n:
+            return ZERO
+        d_lo = max(0, a + l + t - refl.m)
         d_hi = a + l + t
         total = ZERO
         for d in range(d_lo, d_hi + 1):
-            sub = self.count(refl, a + l - d + t, y)
+            sub = self._count(refl, a + l - d + t, y)
             if sub.is_zero:
                 continue
             g = gauss(d, 2 * a - 2 * m + n)

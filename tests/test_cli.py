@@ -187,3 +187,23 @@ def test_no_cache_flag(capsys):
     code, out1, _ = run(capsys, "count", "-m", "P2 + I1", "-d", "2,2")
     code, out2, _ = run(capsys, "count", "-m", "P2 + I1", "-d", "2,2", "--no-cache")
     assert out1 == out2
+
+
+def test_count_too_deep_exit_1(capsys):
+    code, out, err = run(capsys, "count", "-m", "P700 + P699", "-d", "700,699")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+def test_failed_polynomial_check_exit_1(capsys, monkeypatch):
+    # a counter that yields a negative coefficient trips the engine's check
+    monkeypatch.setattr(
+        "kronq.engine.count_preprojective", lambda n, a, b: parse_poly("-q")
+    )
+    code, out, err = run(capsys, "count", "-m", "P3", "-d", "2,1")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "count(P3, 2, 1)" in err

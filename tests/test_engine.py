@@ -1,3 +1,8 @@
+import gc
+import sys
+import weakref
+from collections import Counter
+
 from kronq.closed_form import (
     count_preinjective,
     count_preprojective,
@@ -5,7 +10,7 @@ from kronq.closed_form import (
 )
 from kronq.engine import CountingEngine, count, recursion_a, recursion_b
 from kronq.laurent import ONE, ZERO, parse_poly
-from kronq.model import parse_module
+from kronq.model import KroneckerDescriptor, parse_module
 from kronq.oracle import build_rep, submodule_table
 
 
@@ -124,3 +129,77 @@ def test_outputs_are_positive_polynomials_spot():
                 poly = count(m, a, b)
                 assert poly.is_polynomial
                 assert poly.has_nonnegative_coefficients
+
+
+def test_descriptor_bookkeeping_once_per_descriptor(monkeypatch):
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    for name in ("dim_vector", "counting_key", "reflect_plus", "reflect_minus"):
+        monkeypatch.setattr(
+            KroneckerDescriptor, name, counted(name, getattr(KroneckerDescriptor, name))
+        )
+    engine = CountingEngine()
+    engine.count(parse_module("P40 + P39"), 40, 39)
+    distinct = len(engine._records)
+    # P40 + P39 reflects through about forty descriptors; more records
+    # would mean descriptors are not shared
+    assert distinct < 100
+    # one key per lookup: the entry call and at most one per recursion link
+    assert calls["counting_key"] <= 3 * distinct
+    assert calls["dim_vector"] <= distinct
+    assert calls["reflect_plus"] + calls["reflect_minus"] <= 2 * distinct
+
+
+def test_dropped_engine_frees_its_memo_without_gc():
+    gc.disable()
+    try:
+        engine = CountingEngine()
+        for text in ("R(p,[3,2,1])", "R(p,[2,1]) + I1"):
+            m = parse_module(text)
+            dim = m.dim_vector()
+            for a in range(dim.a + 1):
+                for b in range(dim.b + 1):
+                    engine.count(m, a, b)
+        rec = engine._record(parse_module("R(p,[3,2,1])"))
+        # a regular-only module reflects to itself
+        assert engine._records[rec.down_a] is rec
+        value = rec.memo[(4, 2)]
+        engine_ref, rec_ref = weakref.ref(engine), weakref.ref(rec)
+        del rec
+        held = sys.getrefcount(value)
+        del engine
+        assert engine_ref() is None
+        assert rec_ref() is None
+        # LaurentPoly takes no weak references; the memo's reference is gone
+        assert sys.getrefcount(value) == held - 1
+    finally:
+        gc.enable()
+
+
+def test_engine_still_correct_after_recursion_error():
+    deep = parse_module("P700 + P699")
+    for closed_forms in (True, False):
+        engine = CountingEngine(use_closed_forms=closed_forms)
+        try:
+            engine.count(deep, 700, 699)
+        except RecursionError:
+            pass
+        # the error may strike while a record is built: no key may be left
+        # pointing at a missing or foreign record
+        for key, pos in engine._positions.items():
+            assert pos < len(engine._records)
+            assert engine._records[pos].module.counting_key() == key
+        fresh = CountingEngine(use_closed_forms=closed_forms)
+        for text in ("P3 + P2", "P5 + I1", "R(p,[2,1]) + P1"):
+            m = parse_module(text)
+            dim = m.dim_vector()
+            for a in range(dim.a + 1):
+                for b in range(dim.b + 1):
+                    assert engine.count(m, a, b) == fresh.count(m, a, b)
