@@ -42,7 +42,6 @@ from .oracle import (
     count_submodules,
     count_submodules_naive,
     enumerate_subspaces,
-    fixture_records,
     hom_dim_numeric,
     submodule_table,
 )

@@ -9,11 +9,12 @@ Subcommands:
     homext  morphism/extension space dimensions between two modules
 
 Output formats: text (default), json, csv.  Exit codes: 0 success, 1
-runtime error (including unrealizable verification requests, a module too
-deep for the interpreter's recursion limit, and an engine value that
-fails its polynomial check), 2 parse error, 3 evaluation point is not a
-prime power (result still printed), 4 verification mismatch.  Errors go
-to stderr only, as one line.
+runtime error (including unrealizable verification requests, a
+verification whose vertex-2 space has more subspaces than the oracle's
+work bound, a module too deep for the interpreter's recursion limit, and
+an engine value that fails its polynomial check), 2 parse error, 3
+evaluation point is not a prime power (result still printed), 4
+verification mismatch.  Errors go to stderr only, as one line.
 """
 
 from __future__ import annotations

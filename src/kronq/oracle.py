@@ -1,10 +1,24 @@
 """Ground truth by exhaustive enumeration over small prime fields.
 
 Builds explicit matrix pairs realizing a module descriptor and counts
-submodules of a given dimension vector directly: enumerate the vertex-2
-subspace, then count compatible vertex-1 subspaces with a single Gaussian
-coefficient.  Everything here is deliberately independent of the closed
-formulas and the recursion engine.
+submodules of a given dimension vector directly.  Everything here is
+deliberately independent of the closed formulas and the recursion engine;
+the only import from the counting stack is the integer Gaussian
+coefficient ``gauss_int``, which the tests check against subspace
+enumeration.
+
+A submodule is a pair (U1, U2) with alpha U2 + beta U2 inside U1.  For each
+vertex-2 subspace U2, enumerated as an RREF basis, the oracle takes the rank
+w of its images; the U1 that contain them number gauss(a - w, dim1 - w) at
+q = p.  The alpha and beta images of every vertex-2 vector are computed once
+per call, in a table of at most p^dim2 entries keyed by the vector.  Over
+F_2 an image is an int bitmask and the rank comes from XOR reduction; over
+odd p it comes from one incremental echelon of rows normalised at their
+pivots, the same routine ``hom_dim_numeric`` uses.  Before enumerating, the
+exact number of vertex-2 subspaces is computed, and a rep with more than
+10^6 of them is refused with ``ValueError``.  ``count_submodules_naive``
+keeps its own matrix-vector product and span test as an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -25,11 +39,12 @@ __all__ = [
     "submodule_table",
     "enumerate_subspaces",
     "hom_dim_numeric",
-    "fixture_records",
 ]
 
 _SUBSPACE_PRIMES = (2, 3, 5)
 _MAX_SUBSPACE_DIM = 6
+# work bound of submodule_table and count_submodules, in vertex-2 subspaces
+_MAX_SUBSPACES = 10**6
 
 
 class PointCapacityError(ValueError):
@@ -50,29 +65,52 @@ class MatrixRep:
 # -- small GF(p) linear algebra --------------------------------------------
 
 
-def _rank(rows: list[list[int]], p: int) -> int:
-    rows = [r[:] for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] % p:
-                piv = i
+@cache
+def _inverses(p: int) -> tuple[int, ...]:
+    """Multiplicative inverses mod p, indexed by residue (0 maps to 0)."""
+    return (0,) + tuple(pow(x, -1, p) for x in range(1, p))
+
+
+def _rank(rows, p: int) -> int:
+    """Rank of a list of vectors over F_p, by one incremental echelon.
+
+    Each kept row is normalised to 1 at its pivot and is zero at the
+    pivots of the rows kept before it, so a new vector, reduced by the
+    kept rows in order, ends zero at every kept pivot.
+    """
+    inv = _inverses(p)
+    full = len(rows[0]) if rows else 0
+    echelon = []  # (pivot, row normalised to 1 at the pivot)
+    for v in rows:
+        for piv, row in echelon:
+            f = v[piv]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        for piv, x in enumerate(v):
+            if x:
+                if x != 1:
+                    s = inv[x]
+                    v = [y * s % p for y in v]
+                echelon.append((piv, v))
+                if len(echelon) == full:
+                    return full
                 break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % p:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return len(echelon)
+
+
+def _rank_f2(masks) -> int:
+    """Rank over F_2 of vectors packed as int bitmasks, by XOR reduction.
+
+    ``min(v, v ^ b)`` clears the top bit of ``b`` from ``v``; every kept
+    vector has a top bit that the vectors kept after it lack.
+    """
+    basis: list[int] = []
+    for v in masks:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
 
 
 def _matvec(mat, vec, p):
@@ -277,38 +315,78 @@ def build_rep(
 # -- counting ----------------------------------------------------------------
 
 
+def _rank_histograms(rep: MatrixRep, dims) -> list[dict[int, int]]:
+    """For each vertex-2 dimension b in ``dims``, the number of b-subspaces
+    U2 of F_p^dim2 keyed by w = dim(alpha U2 + beta U2).
+
+    Refuses, before any enumeration, a rep whose vertex-2 space has more
+    than ``_MAX_SUBSPACES`` subspaces in all.
+    """
+    p = rep.p
+    total = sum(gauss_int(k, rep.dim2, p) for k in range(rep.dim2 + 1))
+    if total > _MAX_SUBSPACES:
+        raise ValueError(
+            f"F_{p}^{rep.dim2} has {total} subspaces; the oracle enumerates "
+            f"at most {_MAX_SUBSPACES}"
+        )
+    # alpha and beta images of every vertex-2 vector, built one coordinate
+    # at a time; an RREF basis row is looked up by its tuple
+    zero = (0,) * rep.dim1
+    images = {(): (zero, zero)}
+    for j in range(rep.dim2):
+        col_a = [row[j] for row in rep.alpha]
+        col_b = [row[j] for row in rep.beta]
+        images = {
+            vec + (x,): (
+                tuple((s + x * c) % p for s, c in zip(img_a, col_a)),
+                tuple((s + x * c) % p for s, c in zip(img_b, col_b)),
+            )
+            for vec, (img_a, img_b) in images.items()
+            for x in range(p)
+        }
+    if p == 2:
+        # pack each image into a bitmask
+        images = {
+            vec: tuple(sum(x << i for i, x in enumerate(img)) for img in pair)
+            for vec, pair in images.items()
+        }
+    out = []
+    for b in dims:
+        hist: dict[int, int] = {}
+        for basis in _subspace_bases(rep.dim2, b, p):
+            vecs = [img for row in basis for img in images[row]]
+            w = _rank_f2(vecs) if p == 2 else _rank(vecs, p)
+            hist[w] = hist.get(w, 0) + 1
+        out.append(hist)
+    return out
+
+
+def _cell(rep: MatrixRep, hist: dict[int, int], a: int) -> int:
+    # each U2 with image rank w lies in gauss(a - w, dim1 - w) choices of U1
+    return sum(
+        cnt * gauss_int(a - w, rep.dim1 - w, rep.p)
+        for w, cnt in hist.items()
+        if w <= a
+    )
+
+
 def count_submodules(rep: MatrixRep, a: int, b: int) -> int:
     """Pairs of subspaces (U1, U2) of dimensions (a, b) with both images of
     U2 inside U1; 0 for out-of-range dimensions."""
     if a < 0 or b < 0 or a > rep.dim1 or b > rep.dim2:
         return 0
-    total = 0
-    for basis in _subspace_bases(rep.dim2, b, rep.p):
-        images = [_matvec(rep.alpha, v, rep.p) for v in basis]
-        images += [_matvec(rep.beta, v, rep.p) for v in basis]
-        w = _rank([list(v) for v in images], rep.p) if images else 0
-        if w <= a:
-            total += gauss_int(a - w, rep.dim1 - w, rep.p)
-    return total
+    (hist,) = _rank_histograms(rep, (b,))
+    return _cell(rep, hist, a)
 
 
 def submodule_table(rep: MatrixRep) -> dict[tuple[int, int], int]:
     """Counts for every (a, b) in one pass per vertex-2 dimension."""
-    out = {}
-    for b in range(rep.dim2 + 1):
-        hist: dict[int, int] = {}
-        for basis in _subspace_bases(rep.dim2, b, rep.p):
-            images = [_matvec(rep.alpha, v, rep.p) for v in basis]
-            images += [_matvec(rep.beta, v, rep.p) for v in basis]
-            w = _rank([list(v) for v in images], rep.p) if images else 0
-            hist[w] = hist.get(w, 0) + 1
-        for a in range(rep.dim1 + 1):
-            out[(a, b)] = sum(
-                cnt * gauss_int(a - w, rep.dim1 - w, rep.p)
-                for w, cnt in hist.items()
-                if w <= a
-            )
-    return out
+    hists = _rank_histograms(rep, range(rep.dim2 + 1))
+    return {
+        (a, b): _cell(rep, hist, a)
+        for b, hist in enumerate(hists)
+        for a in range(rep.dim1 + 1)
+    }
 
 
 def _in_span(vec, basis, p):
@@ -354,16 +432,4 @@ def hom_dim_numeric(rep_x: MatrixRep, rep_y: MatrixRep) -> int:
                 for k in range(rep_y.dim2):
                     row[n1 + k * rep_x.dim2 + j] = (-mat_y[i][k]) % p
                 rows.append(row)
-    if not rows:
-        return n1 + n2
     return n1 + n2 - _rank(rows, p)
-
-
-def fixture_records(module: KroneckerDescriptor, p: int) -> list[dict]:
-    """JSON-ready oracle records for every (a, b) of a descriptor."""
-    rep = build_rep(module, p)
-    table = submodule_table(rep)
-    return [
-        {"module": str(module), "p": p, "a": a, "b": b, "count": count}
-        for (a, b), count in sorted(table.items())
-    ]

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -191,6 +192,17 @@ def test_no_cache_flag(capsys):
 
 def test_count_too_deep_exit_1(capsys):
     code, out, err = run(capsys, "count", "-m", "P700 + P699", "-d", "700,699")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+def test_verify_over_work_bound_exit_1(capsys):
+    # F_5^8 has about 2.8e11 subspaces: refused before any enumeration
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "-m", "P8", "-p", "5")
+    assert time.perf_counter() - started < 1
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1

@@ -2,12 +2,12 @@ import pytest
 
 from kronq.model import parse_module
 from kronq.oracle import (
+    MatrixRep,
     PointCapacityError,
     build_rep,
     count_submodules,
     count_submodules_naive,
     enumerate_subspaces,
-    fixture_records,
     hom_dim_numeric,
     submodule_table,
 )
@@ -121,15 +121,45 @@ def test_endomorphism_dimensions_match_the_table():
             assert hom_dim_numeric(rep, rep) == expected, (text, p)
 
 
-def test_fixture_records():
-    recs = fixture_records(parse_module("P1"), 2)
-    assert {"module": "P1", "p": 2, "a": 1, "b": 0, "count": 3} in recs
-    assert all(set(r) == {"module", "p", "a", "b", "count"} for r in recs)
-    assert len(recs) == 3 * 2
-
-
 def test_mismatched_primes_rejected():
     r2 = build_rep(parse_module("P1"), 2)
     r3 = build_rep(parse_module("P1"), 3)
     with pytest.raises(ValueError):
         hom_dim_numeric(r2, r3)
+
+
+def _given_reps(check):
+    """Run ``check`` on arbitrary MatrixReps (random alpha and beta, not
+    block-diagonal models) over F_2 and F_3 with dim1 <= 4, dim2 <= 3."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def reps(draw):
+        p = draw(st.sampled_from((2, 3)))
+        dim1 = draw(st.integers(0, 4))
+        dim2 = draw(st.integers(0, 3))
+
+        def matrix():
+            entry = st.integers(0, p - 1)
+            return tuple(tuple(draw(entry) for _ in range(dim2)) for _ in range(dim1))
+
+        return MatrixRep(p, dim1, dim2, matrix(), matrix())
+
+    hyp.settings(max_examples=60, deadline=None, database=None)(hyp.given(reps())(check))()
+
+
+def test_table_cells_match_single_and_naive_counts_on_random_reps():
+    def check(rep):
+        for (a, b), cell in submodule_table(rep).items():
+            assert cell == count_submodules(rep, a, b) == count_submodules_naive(rep, a, b)
+
+    _given_reps(check)
+
+
+def test_random_nonzero_rep_has_an_endomorphism():
+    def check(rep):
+        if rep.dim1 + rep.dim2:
+            assert hom_dim_numeric(rep, rep) >= 1
+
+    _given_reps(check)
