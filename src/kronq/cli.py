@@ -15,6 +15,12 @@ work bound, a module too deep for the interpreter's recursion limit, and
 an engine value that fails its polynomial check), 2 parse error, 3
 evaluation point is not a prime power (result still printed), 4
 verification mismatch.  Errors go to stderr only, as one line.
+
+``count --at q`` with a prime power q also prints one ``warning:`` line on
+stderr when the module uses more points of some degree d than the
+projective line over F_q has (q + 1 for d = 1, the number of monic
+irreducibles of degree d otherwise); stdout and the exit code are the same
+as without the warning.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .model import (
     hom_dim,
     parse_module,
 )
-from .oracle import build_rep, submodule_table
+from .oracle import build_rep, count_submodules, submodule_table
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -68,6 +74,38 @@ def _is_prime_power(n: int) -> bool:
                 n //= p
             return n == 1
     return False
+
+
+def _points_of_degree(d: int, q: int) -> int:
+    """Closed points of degree d on the projective line over F_q: q + 1 for
+    d = 1, else the monic irreducibles of degree d.  Those follow from
+    q^e = sum over f | e of f * (irreducibles of degree f), which Moebius
+    inversion turns into Gauss's necklace formula."""
+    if d == 1:
+        return q + 1
+    irreducibles: dict[int, int] = {}  # by degree, over the divisors of d
+    for e in range(1, d + 1):
+        if d % e == 0:
+            lower = sum(f * n for f, n in irreducibles.items() if e % f == 0)
+            irreducibles[e] = (q**e - lower) // e
+    return irreducibles[d]
+
+
+def _unrealizable_degrees(module, q: int) -> list[str]:
+    """One note per point degree that F_q has too few points for."""
+    used: dict[int, int] = {}
+    for _, degree, _ in module.regular:
+        used[degree] = used.get(degree, 0) + 1
+    notes = []
+    for degree, n in sorted(used.items()):
+        # for d >= 4 there are at least q^d / (2d) >= 2^(d-1) / d points,
+        # so a large degree needs no exact count (nor a huge power of q)
+        if degree >= 4 and degree - 1 >= (degree * n).bit_length():
+            continue
+        have = _points_of_degree(degree, q)
+        if n > have:
+            notes.append(f"{n} points of degree {degree}, F_{q} has {have}")
+    return notes
 
 
 def _emit(records: list[dict], fields: list[str], fmt: str, title: str | None = None):
@@ -117,6 +155,14 @@ def cmd_count(args) -> int:
                 file=sys.stderr,
             )
             status = EXIT_BAD_POINT
+        else:
+            notes = _unrealizable_degrees(module, args.at)
+            if notes:
+                print(
+                    f"warning: the module uses {'; '.join(notes)}; "
+                    "the value does not count submodules over this field",
+                    file=sys.stderr,
+                )
     if args.euler:
         record["euler"] = poly.eval_integer(1)
         fields.append("euler")
@@ -165,10 +211,11 @@ def cmd_verify(args) -> int:
     module = _parse_input(parse_module, args.module)
     engine = CountingEngine(memoize=not args.no_cache)
     rep = build_rep(module, args.prime)
-    table = submodule_table(rep)
     if args.dim is not None:
         a, b = _parse_input(_parse_dim, args.dim)
-        table = {(a, b): table.get((a, b), 0)}
+        table = {(a, b): count_submodules(rep, a, b)}
+    else:
+        table = submodule_table(rep)
     records = []
     mismatches = 0
     for (a, b), expected in sorted(table.items()):

@@ -8,8 +8,9 @@ The dispatcher reduces a count to closed forms and diagonal regular counts:
      which strictly lowers the largest preprojective index;
   4. otherwise any preinjective summand: reflect the other way;
   5. otherwise the module is regular: counts below the diagonal vanish,
-     above it the same reflection lowers a, and on the diagonal the Hall
-     polynomial factorization over tubes takes over.
+     above it the same reflection lowers a, and on the diagonal the count
+     factorizes over the tubes, each point contributing its subgroup
+     counts by order (Birkhoff's product, see :mod:`kronq.hall`).
 
 Both recursions sum Gaussian-weighted counts of a reflected module.  The
 summation bounds come from the dimension guards of the reflected module,

@@ -7,7 +7,16 @@ the count of submodules of the corresponding tube module).  It vanishes
 unless |lam| = |mu| + |nu| and both mu and nu fit inside lam, and it is
 symmetric in mu and nu.
 
-The computation is purely algebraic.  Products in the Hall algebra with one
+The diagonal count of a regular module needs only the sum of g over nu,
+the number of subgroups of type mu.  Birkhoff's product over the columns
+of lam gives it directly (Birkhoff, Proc. LMS 38, 1935; Macdonald,
+Symmetric Functions and Hall Polynomials, ch. II):
+
+    sum over nu of g(lam, nu, mu) = prod_i  x^(mu'_{i+1} (lam'_i - mu'_i))
+                                     * gauss(mu'_i - mu'_{i+1}, lam'_i - mu'_{i+1})
+
+The single polynomial g, which only ``hall_polynomial`` (the ``kronq hall``
+command) needs, is computed in the Hall algebra.  Products with one
 elementary factor have an explicit subspace-flag coefficient:
 
     u_sigma * e_r = sum over lam with lam/sigma a vertical r-strip of
@@ -18,8 +27,8 @@ where x_j is the number of boxes of lam/sigma in columns > j.  Iterating
 these products over the columns of mu gives E_mu = u_mu + (dominance-lower
 terms); inverting that unitriangular system expresses u_mu in the E basis,
 after which u_nu * u_mu is a sequence of elementary products.  Everything
-stays in Z[x].  The test suite checks the results against exhaustive
-subgroup enumeration at small primes.
+stays in Z[x].  The test suite checks both paths against each other and
+against exhaustive subgroup enumeration at small primes.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from __future__ import annotations
 from functools import cache
 
 from .laurent import ONE, ZERO, LaurentPoly
-from .model import KroneckerDescriptor, Partition
+from .model import KroneckerDescriptor, Partition, conjugate_parts, contains_parts
 from .qbinom import gauss
 
 __all__ = [
@@ -44,18 +53,6 @@ def _as_parts(p) -> Part:
     if isinstance(p, Partition):
         return p.parts
     return Partition(tuple(p)).parts
-
-
-def _conjugate(lam: Part) -> Part:
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
-
-
-def _contains(lam: Part, mu: Part) -> bool:
-    if len(mu) > len(lam):
-        return False
-    return all(m <= l for m, l in zip(mu, lam))
 
 
 @cache
@@ -114,8 +111,8 @@ def _vertical_strip_extensions(sigma: Part, r: int) -> tuple[Part, ...]:
 def _pieri_coeff(lam: Part, sigma: Part, r: int) -> LaurentPoly:
     """Coefficient of u_lam in u_sigma * e_r: the number of elementary
     subgroups of rank r with quotient type sigma, as a polynomial."""
-    lc = _conjugate(lam)
-    sc = _conjugate(sigma)
+    lc = conjugate_parts(lam)
+    sc = conjugate_parts(sigma)
 
     def col(c, j):  # 1-based column heights
         return c[j - 1] if j - 1 < len(c) else 0
@@ -155,7 +152,7 @@ def _pieri_multiply(state: dict[Part, LaurentPoly], r: int) -> dict[Part, Lauren
 def _e_expand(mu: Part) -> tuple[tuple[Part, LaurentPoly], ...]:
     """E_mu (the product of e over the columns of mu) in the u basis."""
     state: dict[Part, LaurentPoly] = {(): ONE}
-    for r in _conjugate(mu):
+    for r in conjugate_parts(mu):
         state = _pieri_multiply(state, r)
     return tuple(sorted(state.items()))
 
@@ -195,7 +192,7 @@ def _u_product(nu: Part, mu: Part) -> tuple[tuple[Part, LaurentPoly], ...]:
     total: dict[Part, LaurentPoly] = {}
     for rho, coeff in _u_in_e(mu):
         state: dict[Part, LaurentPoly] = {nu: ONE}
-        for r in _conjugate(rho):
+        for r in conjugate_parts(rho):
             state = _pieri_multiply(state, r)
         for lam, c in state.items():
             term = coeff * c
@@ -209,8 +206,8 @@ def hall_vanishes(lam, nu, mu) -> bool:
     lam, nu, mu = _as_parts(lam), _as_parts(nu), _as_parts(mu)
     return (
         sum(lam) != sum(mu) + sum(nu)
-        or not _contains(lam, mu)
-        or not _contains(lam, nu)
+        or not contains_parts(lam, mu)
+        or not contains_parts(lam, nu)
     )
 
 
@@ -231,30 +228,36 @@ def hall_polynomial(lam, nu, mu) -> LaurentPoly:
     return ZERO
 
 
+def _subgroups(lc: Part, mu: Part) -> LaurentPoly:
+    """Number of subgroups of type mu in the abelian p-group whose type has
+    conjugate lc, as a polynomial in x = p (Birkhoff's product); mu must fit
+    inside that type."""
+    mc = conjugate_parts(mu)
+    mc += (0,) * (len(lc) + 1 - len(mc))
+    out = ONE
+    for i, l in enumerate(lc):
+        m, m_next = mc[i], mc[i + 1]
+        out = out * gauss(m - m_next, l - m_next).shift(m_next * (l - m))
+    return out
+
+
 @cache
 def _weight_sums(lam: Part) -> tuple[LaurentPoly, ...]:
-    """Entry w: sum over mu inside lam of weight w and all compatible nu of
-    the Hall polynomial; used by the diagonal regular count."""
-    total = sum(lam)
-    groups: dict[int, list[Part]] = {}
+    """Entry w: the number of subgroups of order x^w in the abelian group of
+    type lam; used by the diagonal regular count."""
+    lc = conjugate_parts(lam)
+    out = [ZERO] * (sum(lam) + 1)
     for mu in subpartitions(lam):
-        groups.setdefault(sum(mu), []).append(mu)
-    out = []
-    for w in range(total + 1):
-        acc = ZERO
-        for mu in groups.get(w, ()):
-            for nu in groups.get(total - w, ()):
-                acc = acc + hall_polynomial(lam, nu, mu)
-        out.append(acc)
+        out[sum(mu)] += _subgroups(lc, mu)
     return tuple(out)
 
 
 def regular_diagonal_count(module: KroneckerDescriptor, a: int) -> LaurentPoly:
     """Submodules of dimension vector (a, a) of a regular module.
 
-    Factorizes over the points: pick a weight for each point's subgroup
-    type, sum matching Hall polynomials per point (substituting q^degree
-    for x), and convolve the per-point weight distributions.
+    Factorizes over the points: count each point's subgroups by weight
+    (substituting q^degree for x), and convolve the per-point weight
+    distributions.
     """
     if not module.is_regular_only:
         raise ValueError("diagonal count requires a regular module")

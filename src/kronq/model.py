@@ -36,6 +36,8 @@ __all__ = [
     "hom_dim",
     "ext_dim",
     "euler_form",
+    "conjugate_parts",
+    "contains_parts",
 ]
 
 
@@ -50,6 +52,20 @@ class DimVector(NamedTuple):
 
     def scaled(self, k: int) -> "DimVector":
         return DimVector(k * self.a, k * self.b)
+
+
+def conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Column heights of a weakly decreasing tuple of parts."""
+    if not parts:
+        return ()
+    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
+
+
+def contains_parts(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
+    """True when mu_i <= lam_i for every i."""
+    if len(mu) > len(lam):
+        return False
+    return all(m <= l for m, l in zip(mu, lam))
 
 
 @dataclass(frozen=True)
@@ -83,18 +99,10 @@ class Partition:
         return sum(i * p for i, p in enumerate(self.parts))
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition(())
-        out = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                out[j] += 1
-        return Partition(tuple(out))
+        return Partition(conjugate_parts(self.parts))
 
     def contains(self, other: "Partition") -> bool:
-        if len(other.parts) > len(self.parts):
-            return False
-        return all(o <= s for o, s in zip(other.parts, self.parts))
+        return contains_parts(self.parts, other.parts)
 
     def __len__(self):
         return len(self.parts)

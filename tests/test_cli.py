@@ -6,8 +6,9 @@ from pathlib import Path
 
 import jsonschema
 
-from kronq.cli import main
+from kronq.cli import _points_of_degree, main
 from kronq.laurent import parse_poly
+from kronq.oracle import _monic_irreducibles
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output-schema.json").read_text()
@@ -64,6 +65,33 @@ def test_count_warns_on_non_prime_power(capsys):
     assert code == 3
     assert "q + 1" in out  # still evaluates
     assert "prime power" in err
+
+
+def test_count_warns_when_field_has_too_few_points(capsys):
+    # F_2 has one point of degree 2, F_3 has three
+    module = "R(a@2,[1]) + R(b@2,[1])"
+    code, out, err = run(capsys, "count", "-m", module, "-d", "2,2", "--at", "2")
+    assert code == 0
+    assert out == "2\nat q=2: 2\n"
+    assert len(err.splitlines()) == 1
+    assert err.startswith("warning: ") and "degree 2" in err
+    code, out, err = run(capsys, "count", "-m", module, "-d", "2,2", "--at", "3")
+    assert code == 0
+    assert out == "2\nat q=3: 2\n"
+    assert err == ""
+    # q + 1 points of degree 1
+    many = " + ".join(f"R(p{i},[1])" for i in range(4))
+    _, _, err = run(capsys, "count", "-m", many, "-d", "1,1", "--at", "2")
+    assert err.startswith("warning: ")
+    _, _, err = run(capsys, "count", "-m", many, "-d", "1,1", "--at", "3")
+    assert err == ""
+
+
+def test_point_counts_match_the_oracle_point_pools():
+    for p in (2, 3):
+        assert _points_of_degree(1, p) == p + 1
+        for d in range(2, 6):
+            assert _points_of_degree(d, p) == len(list(_monic_irreducibles(d, p)))
 
 
 def test_count_parse_error_exit_2(capsys):
@@ -132,6 +160,29 @@ def test_verify_single_cell(capsys):
     doc = check_json(out)
     assert len(doc["records"]) == 1
     assert doc["records"][0]["engine"] == 4
+
+
+def test_verify_single_cell_enumerates_only_its_cell(capsys):
+    # the whole table of P8 over F_2 walks 417,199 subspaces; one cell
+    # with b = 1 walks 255
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "verify", "-m", "P8", "-p", "2", "-d", "1,1", "--format", "json"
+    )
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    assert err == ""
+    (rec,) = check_json(out)["records"]
+    assert (rec["a"], rec["b"]) == (1, 1)
+    assert rec["match"]
+    # outside the box both sides report 0
+    code, out, _ = run(
+        capsys, "verify", "-m", "P2", "-p", "3", "-d", "4,1", "--format", "json"
+    )
+    assert code == 0
+    (rec,) = check_json(out)["records"]
+    assert rec["oracle"] == rec["engine"] == 0
+    assert rec["match"]
 
 
 def test_verify_capacity_error_exit_1(capsys):

@@ -4,13 +4,15 @@ import pytest
 
 from kronq.abelian import subgroup_census, subgroup_total
 from kronq.hall import (
+    _subgroups,
+    _weight_sums,
     hall_polynomial,
     hall_vanishes,
     regular_diagonal_count,
     subpartitions,
 )
 from kronq.laurent import ONE, ZERO, parse_poly
-from kronq.model import Partition, parse_module
+from kronq.model import Partition, conjugate_parts, parse_module
 
 
 def _partitions_up_to(weight):
@@ -155,3 +157,35 @@ def test_diagonal_regular_boundary_and_positivity():
         for a in range(n + 1):
             poly = regular_diagonal_count(m, a)
             assert poly.is_polynomial and poly.has_nonnegative_coefficients
+
+
+def test_birkhoff_product_equals_hall_sum_and_census():
+    # three sources for the number of subgroups of type mu: Birkhoff's
+    # product, the Hall polynomials summed over the quotient type, and the
+    # exhaustive census at small primes
+    for lam in _partitions_up_to(6):
+        subs = subpartitions(lam)
+        census = {p: subgroup_census(lam, p) for p in (2, 3)}
+        for mu in subs:
+            birkhoff = _subgroups(conjugate_parts(lam), mu)
+            hall_sum = ZERO
+            for nu in subs:
+                hall_sum = hall_sum + hall_polynomial(lam, nu, mu)
+            assert birkhoff == hall_sum, (lam, mu)
+            for p, tally in census.items():
+                want = sum(n for (sub, _), n in tally.items() if sub == mu)
+                assert birkhoff.eval_integer(p) == want, (lam, mu, p)
+    assert _subgroups(conjugate_parts((1, 1)), (1,)) == parse_poly("q + 1")
+
+
+def test_weight_sums_match_summed_hall_polynomials():
+    # regression against the former construction of the diagonal weights:
+    # every Hall polynomial g(lam; nu, mu) with |mu| = w, summed
+    for lam in _partitions_up_to(8):
+        total = sum(lam)
+        old = [ZERO] * (total + 1)
+        for mu in subpartitions(lam):
+            for nu in subpartitions(lam):
+                if sum(mu) + sum(nu) == total:
+                    old[sum(mu)] = old[sum(mu)] + hall_polynomial(lam, nu, mu)
+        assert _weight_sums(lam) == tuple(old), lam
