@@ -10,8 +10,8 @@ Subcommands:
 
 Output formats: text (default), json, csv.  Exit codes: 0 success, 1
 runtime error (including unrealizable verification requests, a
-verification whose vertex-2 space has more subspaces than the oracle's
-work bound, a module too deep for the interpreter's recursion limit, and
+verification whose oracle would walk more than 10^6 vertex-2 vectors and
+subspaces, a module too deep for the interpreter's recursion limit, and
 an engine value that fails its polynomial check), 2 parse error, 3
 evaluation point is not a prime power (result still printed), 4
 verification mismatch.  Errors go to stderr only, as one line.

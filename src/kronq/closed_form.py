@@ -32,12 +32,9 @@ def count_preprojective(n: int, a: int, b: int) -> LaurentPoly:
 
 
 def count_preinjective(n: int, a: int, b: int) -> LaurentPoly:
-    """Submodules of I_n with dimension vector (a, b)."""
-    if a > n or b > n + 1:
-        return ZERO
-    if a == n and b == n + 1:
-        return ONE
-    return gauss(a - b, n - b) * gauss(b, a + 1)
+    """Submodules of I_n with dimension vector (a, b): by duality, those of
+    P_n with dimension vector (n + 1 - b, n - a)."""
+    return count_preprojective(n, n + 1 - b, n - a)
 
 
 def count_regular_deg1(t: int, a: int, b: int) -> LaurentPoly:

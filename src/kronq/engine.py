@@ -6,13 +6,17 @@ The dispatcher reduces a count to closed forms and diagonal regular counts:
   2. a single indecomposable with a closed form is answered directly;
   3. any preprojective summand: reflect away from the projective side,
      which strictly lowers the largest preprojective index;
-  4. otherwise any preinjective summand: reflect the other way;
+  4. otherwise any preinjective summand: count in the dual module.  The
+     duality D = Hom_k(-, k) swaps P_n and I_n and keeps each tube (Assem,
+     Simson, Skowronski, Elements I, III.3), and U -> (M/U)* matches the
+     submodules of dimension (a, b) with those of D(M) of dimension
+     (n - b, m - a); D(M) has a preprojective summand, so it takes step 3;
   5. otherwise the module is regular: counts below the diagonal vanish,
      above it the same reflection lowers a, and on the diagonal the count
      factorizes over the tubes, each point contributing its subgroup
      counts by order (Birkhoff's product, see :mod:`kronq.hall`).
 
-Both recursions sum Gaussian-weighted counts of a reflected module.  The
+The recursion sums Gaussian-weighted counts of a reflected module.  The
 summation bounds come from the dimension guards of the reflected module,
 never from vanishing of the Gaussian factor: with a negative upper argument
 the Gaussian is a nonzero signed Laurent monomial and dropping such terms
@@ -23,12 +27,13 @@ coefficients.
 A deep count visits at most a few hundred descriptors, hundreds of
 thousands of times, so the engine derives what it needs from a descriptor
 once: each distinct descriptor (up to point labels) gets one
-:class:`_Record` holding its dimension pair, its closed-form counter, the
-reflected descriptor of each recursion and the memo of its values.  The
-recursions then work on records only.  A record names its reflected records by their position in
-the engine's record list, not by reference: a regular-only module reflects
-to itself, and a record pointing at itself would keep a dropped engine's
-memo alive until the cyclic garbage collector runs.
+:class:`_Record` holding its dimension pair, its closed-form counter, its
+reflected and dual descriptors and the memo of its values.  The recursion
+then works on records only.  A record names its reflected and dual records
+by their position in the engine's record list, not by reference: a
+regular-only module reflects to itself, and a record pointing at itself
+would keep a dropped engine's memo alive until the cyclic garbage collector
+runs.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from .model import (
     Preprojective,
     Regular,
     preinjective,
-    preprojective,
 )
 from .qbinom import gauss
 
@@ -58,8 +62,8 @@ class _Record:
 
     ``closed`` is ``(counter, index)`` when a closed form answers every
     count of the module.  ``down_a`` is the position of the plus-reflected
-    record of recursion_a; ``down_b`` is ``(t, position)`` for recursion_b,
-    t being the number of I0 summands.  Both are filled in on first use.
+    record of recursion_a and ``dual`` that of the dual module's record;
+    both are filled in on first use.
     ``memo`` maps (a, b) to a count, or is None when memoization is off.
     """
 
@@ -68,7 +72,7 @@ class _Record:
         self.m, self.n = module.dim_vector()
         self.closed = closed
         self.down_a: int | None = None
-        self.down_b: tuple[int, int] | None = None
+        self.dual: int | None = None
         self.memo = memo
 
 
@@ -78,7 +82,7 @@ class CountingEngine:
     ``use_closed_forms=False`` forces indecomposables through the recursion
     (used to cross-check the closed formulas).  ``memoize=False`` disables
     the value cache, which must not change any value; the per-descriptor
-    records (dimensions, closed-form choice, reflected descriptors) are
+    records (dimensions, closed-form choice, reflected and dual records) are
     kept either way.  Records bake in both choices, so they are fixed when
     the engine is built.  Records are found by the label-normalized
     ``counting_key`` and live as long as the engine.  The dicts are safe
@@ -109,19 +113,14 @@ class CountingEngine:
         return self._recursion_a(self._record(module), a, b)
 
     def recursion_b(self, module: KroneckerDescriptor, a: int, b: int) -> LaurentPoly:
-        """Mirror recursion removing the injective simple.
+        """Count through the dual module: with M of dimension (m, n),
 
-        With the same splitting and N the minus-reflection of s*P0 + M':
+            count(M, a, b) = recursion_a(D(M), n - b, m - a)
 
-            count(M, a, b) = sum over d of
-                q^(d(2m-n-2a+b+d)) * gauss(d, 2a-2m+n)
-                    * count(N, a+l-d+t, b+l)
-
-        bounded by N's vertex-1 dimension.  Note the shift by t in the
-        first index: the t copies of the injective simple stay inside
-        every submodule counted on the reflected side.
+        where D(M) swaps the preprojective and preinjective summands.
         """
-        return self._recursion_b(self._record(module), a, b)
+        rec = self._record(module)
+        return self._recursion_a(self._dual(rec), rec.n - b, rec.m - a)
 
     # -- records ---------------------------------------------------------
 
@@ -153,12 +152,11 @@ class CountingEngine:
             rec.down_a = self._position((mp + preinjective(0, t) if t else mp).reflect_plus())
         return self._records[rec.down_a]
 
-    def _down_b(self, rec: _Record) -> tuple[int, _Record]:
-        if rec.down_b is None:
-            s, mp, t = rec.module.split_socle()
-            rec.down_b = (t, self._position((preprojective(0, s) + mp if s else mp).reflect_minus()))
-        t, pos = rec.down_b
-        return t, self._records[pos]
+    def _dual(self, rec: _Record) -> _Record:
+        if rec.dual is None:
+            m = rec.module
+            rec.dual = self._position(KroneckerDescriptor(m.preinjective, m.preprojective, m.regular))
+        return self._records[rec.dual]
 
     # -- counting ----------------------------------------------------------
 
@@ -190,7 +188,7 @@ class CountingEngine:
         if module.preprojective:
             return self._recursion_a(rec, a, b)
         if module.preinjective:
-            return self._recursion_b(rec, a, b)
+            return self._count(self._dual(rec), rec.n - b, rec.m - a)
         if a < b:
             return ZERO  # nothing preinjective embeds in a regular module
         if a > b:
@@ -211,26 +209,6 @@ class CountingEngine:
             if g.is_zero:
                 continue
             total = total + (g * sub).shift(c * (b - l + c))
-        return total
-
-    def _recursion_b(self, rec: _Record, a: int, b: int) -> LaurentPoly:
-        t, refl = self._down_b(rec)
-        m, n = rec.m, rec.n
-        l = a - b
-        y = b + l
-        if y < 0 or y > refl.n:
-            return ZERO
-        d_lo = max(0, a + l + t - refl.m)
-        d_hi = a + l + t
-        total = ZERO
-        for d in range(d_lo, d_hi + 1):
-            sub = self._count(refl, a + l - d + t, y)
-            if sub.is_zero:
-                continue
-            g = gauss(d, 2 * a - 2 * m + n)
-            if g.is_zero:
-                continue
-            total = total + (g * sub).shift(d * (2 * m - n - 2 * a + b + d))
         return total
 
 

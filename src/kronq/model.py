@@ -464,32 +464,16 @@ def parse_module(text: str) -> KroneckerDescriptor:
 
 
 def _pair_dims(x: Summand, y: Summand) -> tuple[int, int]:
-    """(hom, ext) dimensions between two indecomposables."""
-    if isinstance(x, Preprojective) and isinstance(y, Preprojective):
-        if x.n <= y.n:
-            return y.n - x.n + 1, 0
-        return 0, x.n - y.n - 1
-    if isinstance(x, Preinjective) and isinstance(y, Preinjective):
-        if x.n >= y.n:
-            return x.n - y.n + 1, 0
-        return 0, y.n - x.n - 1
-    if isinstance(x, Preprojective) and isinstance(y, Preinjective):
-        return x.n + y.n, 0
-    if isinstance(x, Preinjective) and isinstance(y, Preprojective):
-        return 0, x.n + y.n + 2
-    if isinstance(x, Preprojective) and isinstance(y, Regular):
-        return y.degree * y.length, 0
-    if isinstance(x, Regular) and isinstance(y, Preprojective):
-        return 0, x.degree * x.length
-    if isinstance(x, Regular) and isinstance(y, Preinjective):
-        return x.degree * x.length, 0
-    if isinstance(x, Preinjective) and isinstance(y, Regular):
-        return 0, y.degree * y.length
-    # regular vs regular: zero across distinct tubes
-    if x.point != y.point:
-        return 0, 0
-    d = x.degree * min(x.length, y.length)
-    return d, d
+    """(hom, ext) dimensions between two indecomposables.
+
+    Two uniserials at one point have both; for every other pair at most one
+    is nonzero, so the Euler form (hom minus ext) gives the pair.
+    """
+    if isinstance(x, Regular) and isinstance(y, Regular) and x.point == y.point:
+        d = x.degree * min(x.length, y.length)
+        return d, d
+    e = euler_form(x.dim_vector(), y.dim_vector())
+    return max(e, 0), max(-e, 0)
 
 
 def _expand(x) -> list[Summand]:

@@ -11,14 +11,14 @@ A submodule is a pair (U1, U2) with alpha U2 + beta U2 inside U1.  For each
 vertex-2 subspace U2, enumerated as an RREF basis, the oracle takes the rank
 w of its images; the U1 that contain them number gauss(a - w, dim1 - w) at
 q = p.  The alpha and beta images of every vertex-2 vector are computed once
-per call, in a table of at most p^dim2 entries keyed by the vector.  Over
-F_2 an image is an int bitmask and the rank comes from XOR reduction; over
-odd p it comes from one incremental echelon of rows normalised at their
-pivots, the same routine ``hom_dim_numeric`` uses.  Before enumerating, the
-exact number of vertex-2 subspaces is computed, and a rep with more than
-10^6 of them is refused with ``ValueError``.  ``count_submodules_naive``
-keeps its own matrix-vector product and span test as an independent
-cross-check.
+per call, in a table of p^dim2 entries keyed by the vector.  Over F_2 an
+image is an int bitmask and the rank comes from XOR reduction; over odd p
+it comes from one incremental echelon of rows normalised at their pivots,
+the same routine ``hom_dim_numeric`` uses.  A call whose table entries and
+vertex-2 subspaces of the requested dimensions add up to more than 10^6 is
+refused with ``ValueError`` before any enumeration.
+``count_submodules_naive`` keeps its own matrix-vector product and span
+test as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ __all__ = [
 
 _SUBSPACE_PRIMES = (2, 3, 5)
 _MAX_SUBSPACE_DIM = 6
-# work bound of submodule_table and count_submodules, in vertex-2 subspaces
+# work bound of one oracle call: image table entries plus subspaces walked
 _MAX_SUBSPACES = 10**6
 
 
@@ -319,15 +319,16 @@ def _rank_histograms(rep: MatrixRep, dims) -> list[dict[int, int]]:
     """For each vertex-2 dimension b in ``dims``, the number of b-subspaces
     U2 of F_p^dim2 keyed by w = dim(alpha U2 + beta U2).
 
-    Refuses, before any enumeration, a rep whose vertex-2 space has more
-    than ``_MAX_SUBSPACES`` subspaces in all.
+    Refuses, before any enumeration, a call whose work exceeds
+    ``_MAX_SUBSPACES``: the p^dim2 entries of the image table plus the
+    subspaces of the requested dimensions.
     """
     p = rep.p
-    total = sum(gauss_int(k, rep.dim2, p) for k in range(rep.dim2 + 1))
-    if total > _MAX_SUBSPACES:
+    work = p**rep.dim2 + sum(gauss_int(k, rep.dim2, p) for k in dims)
+    if work > _MAX_SUBSPACES:
         raise ValueError(
-            f"F_{p}^{rep.dim2} has {total} subspaces; the oracle enumerates "
-            f"at most {_MAX_SUBSPACES}"
+            f"the oracle would walk {work} vectors and subspaces of "
+            f"F_{p}^{rep.dim2}; its bound is {_MAX_SUBSPACES}"
         )
     # alpha and beta images of every vertex-2 vector, built one coordinate
     # at a time; an RREF basis row is looked up by its tuple

@@ -260,6 +260,26 @@ def test_verify_over_work_bound_exit_1(capsys):
     assert err.startswith("error: ")
 
 
+def test_verify_work_bound_counts_only_the_requested_cell(capsys):
+    # the cell walks the 5^8 image table and the 97,656 lines of F_5^8
+    code, out, err = run(
+        capsys, "verify", "-m", "P8", "-p", "5", "-d", "1,1", "--format", "json"
+    )
+    assert code == 0
+    assert err == ""
+    (rec,) = check_json(out)["records"]
+    assert rec["engine"] == rec["oracle"] == 0
+    assert rec["match"]
+    # the 5^9-entry image table alone is over the bound
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "-m", "P9", "-p", "5", "-d", "1,1")
+    assert time.perf_counter() - started < 1
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
 def test_failed_polynomial_check_exit_1(capsys, monkeypatch):
     # a counter that yields a negative coefficient trips the engine's check
     monkeypatch.setattr(

@@ -3,6 +3,8 @@ import sys
 import weakref
 from collections import Counter
 
+import pytest
+
 from kronq.closed_form import (
     count_preinjective,
     count_preprojective,
@@ -10,7 +12,7 @@ from kronq.closed_form import (
 )
 from kronq.engine import CountingEngine, count, recursion_a, recursion_b
 from kronq.laurent import ONE, ZERO, parse_poly
-from kronq.model import KroneckerDescriptor, parse_module
+from kronq.model import KroneckerDescriptor, Partition, parse_module
 from kronq.oracle import build_rep, submodule_table
 
 
@@ -181,6 +183,70 @@ def test_dropped_engine_frees_its_memo_without_gc():
         assert sys.getrefcount(value) == held - 1
     finally:
         gc.enable()
+
+
+def test_dropped_engine_frees_a_dual_pair_without_gc():
+    gc.disable()
+    try:
+        engine = CountingEngine()
+        m = parse_module("I3 + R(p,[1])")
+        dim = m.dim_vector()
+        for a in range(dim.a + 1):
+            for b in range(dim.b + 1):
+                engine.count(m, a, b)
+        rec = engine._record(m)
+        dual = engine._records[rec.dual]
+        assert dual.module == parse_module("P3 + R(p,[1])")
+        # recursion_b on the dual names the module back
+        engine.recursion_b(dual.module, 2, 2)
+        assert engine._records[dual.dual] is rec
+        # the module's (3, 2) cell is the dual's (5 - 2, 4 - 3) cell: one
+        # value, held by both memos
+        value = dual.memo[(3, 1)]
+        assert rec.memo[(3, 2)] is value
+        refs = weakref.ref(engine), weakref.ref(rec), weakref.ref(dual)
+        del rec, dual
+        held = sys.getrefcount(value)
+        del engine
+        assert all(ref() is None for ref in refs)
+        assert sys.getrefcount(value) == held - 2
+    finally:
+        gc.enable()
+
+
+def _dual(m: KroneckerDescriptor) -> KroneckerDescriptor:
+    return KroneckerDescriptor(m.preinjective, m.preprojective, m.regular)
+
+
+def test_duality_on_random_modules():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    summands = st.dictionaries(st.integers(0, 2), st.integers(1, 2), max_size=2)
+    parts = st.lists(st.integers(1, 3), max_size=2).map(
+        lambda ps: Partition(tuple(sorted(ps, reverse=True)))
+    )
+    modules = st.builds(
+        lambda pp, pi, deg1, deg2: KroneckerDescriptor.build(
+            pp, pi, [("p", 1, deg1), ("r", 2, deg2)]
+        ),
+        summands, summands, parts, parts,
+    ).filter(lambda m: sum(m.dim_vector()) <= 14)
+    engines = CountingEngine(), CountingEngine(use_closed_forms=False)
+
+    @hyp.settings(max_examples=60, deadline=None, database=None)
+    @hyp.given(modules)
+    def check(m):
+        (dm, dn), d = m.dim_vector(), _dual(m)
+        cells = [(a, b) for a in range(dm + 1) for b in range(dn + 1)]
+        for engine in engines:
+            for a, b in cells:
+                assert engine.count(m, a, b) == engine.count(d, dn - b, dm - a), (m, a, b)
+        if dn <= 5:
+            table = submodule_table(build_rep(m, 2))
+            for a, b in cells:
+                assert engines[0].count(m, a, b).eval_integer(2) == table[a, b], (m, a, b)
+
+    check()
 
 
 def test_engine_still_correct_after_recursion_error():
