@@ -252,23 +252,14 @@ def cmd_hall(args) -> int:
     poly = hall_polynomial(lam, nu, mu)
     if args.format == "text":
         print(poly.to_string("x"))
-    else:
-        record = {
-            "lambda": list(lam.parts),
-            "mu": list(mu.parts),
-            "nu": list(nu.parts),
-            "polynomial": poly.to_string("x"),
-        }
-        if args.format == "json":
-            print(json.dumps({"kind": "hall", "records": [record]}, sort_keys=True))
-        else:
-            record = {
-                "lambda": ",".join(map(str, lam.parts)),
-                "mu": ",".join(map(str, mu.parts)),
-                "nu": ",".join(map(str, nu.parts)),
-                "polynomial": poly.to_string("x"),
-            }
-            _emit([record], ["lambda", "mu", "nu", "polynomial"], "csv")
+        return EXIT_OK
+    # json keeps each partition as a list of parts, csv as one "3,2,1" cell
+    record = {
+        name: list(p.parts) if args.format == "json" else ",".join(map(str, p.parts))
+        for name, p in (("lambda", lam), ("mu", mu), ("nu", nu))
+    }
+    record["polynomial"] = poly.to_string("x")
+    _emit([record], ["lambda", "mu", "nu", "polynomial"], args.format, title="hall")
     return EXIT_OK
 
 
@@ -284,10 +275,8 @@ def cmd_homext(args) -> int:
     if args.format == "text":
         print(f"hom = {record['hom']}")
         print(f"ext = {record['ext']}")
-    elif args.format == "json":
-        print(json.dumps({"kind": "homext", "records": [record]}, sort_keys=True))
     else:
-        _emit([record], ["x", "y", "hom", "ext"], "csv")
+        _emit([record], ["x", "y", "hom", "ext"], args.format, title="homext")
     return EXIT_OK
 
 

@@ -10,7 +10,8 @@ The dispatcher reduces a count to closed forms and diagonal regular counts:
      duality D = Hom_k(-, k) swaps P_n and I_n and keeps each tube (Assem,
      Simson, Skowronski, Elements I, III.3), and U -> (M/U)* matches the
      submodules of dimension (a, b) with those of D(M) of dimension
-     (n - b, m - a); D(M) has a preprojective summand, so it takes step 3;
+     (n - b, m - a); D(M) has a preprojective summand, so it takes step 3,
+     and its memo is the only one that stores these values;
   5. otherwise the module is regular: counts below the diagonal vanish,
      above it the same reflection lowers a, and on the diagonal the count
      factorizes over the tubes, each point contributing its subgroup
@@ -19,10 +20,10 @@ The dispatcher reduces a count to closed forms and diagonal regular counts:
 The recursion sums Gaussian-weighted counts of a reflected module.  The
 summation bounds come from the dimension guards of the reflected module,
 never from vanishing of the Gaussian factor: with a negative upper argument
-the Gaussian is a nonzero signed Laurent monomial and dropping such terms
-would corrupt the result.  Negative exponents cancel across the sum; every
-computed value is checked to be an honest polynomial with nonnegative
-coefficients.
+the Gaussian is nonzero, +-q^k times an ordinary Gaussian coefficient with
+one sign throughout, and dropping such terms would corrupt the result.
+Negative exponents cancel across the sum; every computed value is checked
+to be an honest polynomial with nonnegative coefficients.
 
 A deep count visits at most a few hundred descriptors, hundreds of
 thousands of times, so the engine derives what it needs from a descriptor
@@ -61,19 +62,23 @@ class _Record:
     """What the engine knows about one descriptor.
 
     ``closed`` is ``(counter, index)`` when a closed form answers every
-    count of the module.  ``down_a`` is the position of the plus-reflected
-    record of recursion_a and ``dual`` that of the dual module's record;
-    both are filled in on first use.
-    ``memo`` maps (a, b) to a count, or is None when memoization is off.
+    count of the module.  ``via_dual`` is set when the module has
+    preinjective but no preprojective summands and no closed form: every
+    count is then read from the dual module's record.  ``down_a`` is the
+    position of the plus-reflected record of recursion_a and ``dual`` that
+    of the dual module's record; both are filled in on first use.
+    ``memo`` maps (a, b) to a count, or is None when memoization is off or
+    the record answers through its dual.
     """
 
-    def __init__(self, module: KroneckerDescriptor, closed, memo: dict | None):
+    def __init__(self, module: KroneckerDescriptor, closed, memoize: bool):
         self.module = module
         self.m, self.n = module.dim_vector()
         self.closed = closed
+        self.via_dual = closed is None and bool(module.preinjective) and not module.preprojective
         self.down_a: int | None = None
         self.dual: int | None = None
-        self.memo = memo
+        self.memo = {} if memoize and not self.via_dual else None
 
 
 class CountingEngine:
@@ -139,7 +144,7 @@ class CountingEngine:
                     closed = (count_regular_deg1, ind.length)
             # build the record before registering its key: a RecursionError
             # inside dim_vector must not leave the key on a missing record
-            self._records.append(_Record(module, closed, {} if self._memoize else None))
+            self._records.append(_Record(module, closed, self._memoize))
             pos = self._positions[key] = len(self._records) - 1
         return pos
 
@@ -170,6 +175,9 @@ class CountingEngine:
             hit = memo.get((a, b))
             if hit is not None:
                 return hit
+        elif rec.via_dual:
+            # the dual's record checks and memoizes the value
+            return self._count(self._dual(rec), rec.n - b, rec.m - a)
         result = self._dispatch(rec, a, b)
         if not result.is_polynomial or not result.has_nonnegative_coefficients:
             raise AssertionError(
@@ -187,8 +195,6 @@ class CountingEngine:
         module = rec.module
         if module.preprojective:
             return self._recursion_a(rec, a, b)
-        if module.preinjective:
-            return self._count(self._dual(rec), rec.n - b, rec.m - a)
         if a < b:
             return ZERO  # nothing preinjective embeds in a regular module
         if a > b:

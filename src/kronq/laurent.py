@@ -204,18 +204,6 @@ class LaurentPoly:
             return self
         return LaurentPoly._raw({e * d: v for e, v in self._c.items()})
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers of polynomials are not defined")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises ValueError when the quotient is not
         a Laurent polynomial over the integers."""

@@ -50,9 +50,6 @@ class DimVector(NamedTuple):
     def __add__(self, other):
         return DimVector(self.a + other[0], self.b + other[1])
 
-    def scaled(self, k: int) -> "DimVector":
-        return DimVector(k * self.a, k * self.b)
-
 
 def conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Column heights of a weakly decreasing tuple of parts."""

@@ -2,24 +2,23 @@
 
 ``gauss(l, a)`` is the q-analogue of "a choose l".  For 0 <= l <= a it is the
 ordinary polynomial counting l-dimensional subspaces of an a-dimensional
-space over a field with q elements; for a < 0 it is a signed Laurent
-polynomial, obtained from the defining product of (q^i - 1) factors.
+space over a field with q elements, built by the q-Pascal rule
+
+    gauss(l, a) = gauss(l - 1, a - 1) + q^l * gauss(l, a - 1)
+
+(Andrews, *The Theory of Partitions*, ch. 3), which needs only additions
+and shifts.  For a < 0 it is a Laurent polynomial, +-q^k times an ordinary
+Gaussian coefficient, given by the defining product of (q^i - 1) factors.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from math import comb
 
-from .laurent import ONE, ZERO, LaurentPoly
+from .laurent import ONE, ZERO, LaurentPoly, _unpack
 
 __all__ = ["gauss", "gauss_int"]
-
-
-def _qpow_minus_one(e: int) -> LaurentPoly:
-    # q^e - 1; zero when e == 0
-    if e == 0:
-        return ZERO
-    return LaurentPoly({e: 1, 0: -1})
 
 
 @cache
@@ -33,6 +32,12 @@ def gauss(l: int, a: int) -> LaurentPoly:
 
     which the test suite validates against direct expansion of the
     defining product in the Laurent ring.
+
+    For 0 <= l <= a the q-Pascal rule runs over one row of packed ints:
+    after k steps, ``row[j]`` holds gauss(j, j + k) with coefficients as
+    limbs of ``width`` bytes.  No coefficient of the rectangle exceeds the
+    value at q = 1, comb(a, l), so limbs never carry.  The loop keeps the
+    recursion depth fixed whatever a is.
     """
     if l < 0:
         return ZERO
@@ -43,13 +48,13 @@ def gauss(l: int, a: int) -> LaurentPoly:
         return -g if l % 2 else g
     if a < l:
         return ZERO
-    num = ONE
-    for i in range(l):
-        num = num * _qpow_minus_one(a - i)
-    den = ONE
-    for i in range(1, l + 1):
-        den = den * _qpow_minus_one(i)
-    return num.divexact(den)
+    l = min(l, a - l)
+    width = (comb(a, l).bit_length() + 7) // 8
+    row = [1] * (l + 1)
+    for _ in range(a - l):
+        for j in range(1, l + 1):
+            row[j] = row[j - 1] + (row[j] << 8 * width * j)
+    return LaurentPoly(enumerate(_unpack(row[l], width, l * (a - l) + 1)))
 
 
 @cache

@@ -210,6 +210,16 @@ def test_hall_command(capsys):
     )
     doc = check_json(out)
     assert doc["records"][0]["polynomial"] == "1"
+    assert out == (
+        '{"kind": "hall", "records": [{"lambda": [2, 1], "mu": [1], '
+        '"nu": [1, 1], "polynomial": "1"}]}\n'
+    )
+    code, out, _ = run(
+        capsys, "hall", "--lambda", "2,1", "--mu", "1", "--nu", "1,1",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out == 'lambda,mu,nu,polynomial\r\n"2,1",1,"1,1",1\r\n'
 
 
 def test_homext_command(capsys):
@@ -219,6 +229,12 @@ def test_homext_command(capsys):
     code, out, _ = run(capsys, "homext", "-x", "I2", "-y", "P1", "--format", "json")
     doc = check_json(out)
     assert doc["records"][0] == {"x": "I2", "y": "P1", "hom": 0, "ext": 5}
+    assert out == (
+        '{"kind": "homext", "records": [{"ext": 5, "hom": 0, "x": "I2", "y": "P1"}]}\n'
+    )
+    code, out, _ = run(capsys, "homext", "-x", "I2", "-y", "P1", "--format", "csv")
+    assert code == 0
+    assert out == "x,y,hom,ext\r\nI2,P1,0,5\r\n"
 
 
 def test_count_csv_matches_json(capsys):

@@ -201,15 +201,16 @@ def test_dropped_engine_frees_a_dual_pair_without_gc():
         engine.recursion_b(dual.module, 2, 2)
         assert engine._records[dual.dual] is rec
         # the module's (3, 2) cell is the dual's (5 - 2, 4 - 3) cell: one
-        # value, held by both memos
+        # value, held by the dual's memo only
         value = dual.memo[(3, 1)]
-        assert rec.memo[(3, 2)] is value
+        assert rec.memo is None
+        assert engine.count(m, 3, 2) is value
         refs = weakref.ref(engine), weakref.ref(rec), weakref.ref(dual)
         del rec, dual
         held = sys.getrefcount(value)
         del engine
         assert all(ref() is None for ref in refs)
-        assert sys.getrefcount(value) == held - 2
+        assert sys.getrefcount(value) == held - 1
     finally:
         gc.enable()
 

@@ -29,13 +29,6 @@ def test_shift_and_stretch():
     assert parse_poly("q^-1 + 1").stretched(3) == parse_poly("q^-3 + 1")
 
 
-def test_pow():
-    assert (Q + 1) ** 0 == ONE
-    assert (Q + 1) ** 3 == parse_poly("q^3 + 3*q^2 + 3*q + 1")
-    with pytest.raises(ValueError):
-        (Q + 1) ** -1
-
-
 def test_multiplication_packed_matches_schoolbook():
     rng = random.Random(7)
     for trial in range(200):

@@ -1,3 +1,5 @@
+import sys
+
 from kronq.laurent import ONE, ZERO, LaurentPoly, parse_poly
 from kronq.oracle import enumerate_subspaces
 from kronq.qbinom import gauss, gauss_int
@@ -29,13 +31,26 @@ def _gauss_by_product(l: int, a: int) -> LaurentPoly:
 
 
 def test_negative_upper_argument_reflection_matches_product():
-    # the reflection used internally must agree with the defining product
-    for l in range(0, 5):
-        for a in range(-6, 7):
+    # the q-Pascal rule and the reflection used internally must agree with
+    # the defining product
+    for l in range(0, 9):
+        for a in range(-12, 25):
             if 0 <= a < l:
                 assert gauss(l, a) == ZERO
                 continue
             assert gauss(l, a) == _gauss_by_product(l, a), (l, a)
+
+
+def test_deep_upper_argument_within_default_recursion_limit():
+    # CPython's default limit; gauss must not recurse once per step of a
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        expected = _gauss_by_product(2, 1500)
+        assert gauss(2, 1500) == expected
+        assert gauss(1498, 1500) == expected
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_symmetry():
