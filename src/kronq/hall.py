@@ -16,24 +16,30 @@ Symmetric Functions and Hall Polynomials, ch. II):
                                      * gauss(mu'_i - mu'_{i+1}, lam'_i - mu'_{i+1})
 
 The single polynomial g, which only ``hall_polynomial`` (the ``kronq hall``
-command) needs, is computed in the Hall algebra.  Products with one
-elementary factor have an explicit subspace-flag coefficient:
+command) needs, is a coefficient of u_nu * u_mu in the Hall algebra.  A
+product with one elementary factor e_r has an explicit subspace-flag
+coefficient (the Pieri rule):
 
     u_sigma * e_r = sum over lam with lam/sigma a vertical r-strip of
         prod_j  x^((lam'_{j+2} - x_{j+1}) (x_j - x_{j+1}))
                 * gauss(x_j - x_{j+1}, lam'_{j+1} - lam'_{j+2})
 
-where x_j is the number of boxes of lam/sigma in columns > j.  Iterating
-these products over the columns of mu gives E_mu = u_mu + (dominance-lower
-terms); inverting that unitriangular system expresses u_mu in the E basis,
-after which u_nu * u_mu is a sequence of elementary products.  Everything
-stays in Z[x].  The test suite checks both paths against each other and
-against exhaustive subgroup enumeration at small primes.
+where x_j is the number of boxes of lam/sigma in columns > j.  Applying it
+once per column of rho gives u_nu * E_rho, where E_rho is the product of e
+over the columns of rho.  Since E_mu = u_mu + (terms strictly below mu in
+dominance order),
+
+    u_nu * u_mu = u_nu * E_mu - sum over sigma < mu of [u_sigma]E_mu * u_nu * u_sigma,
+
+a recursion that descends in dominance order and so terminates.  Everything
+stays in Z[x].  The test suite checks g against Birkhoff's sum and against
+exhaustive subgroup enumeration at small primes.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import groupby, product
 
 from .laurent import ONE, ZERO, LaurentPoly
 from .model import KroneckerDescriptor, Partition, conjugate_parts, contains_parts
@@ -73,38 +79,16 @@ def subpartitions(lam: Part) -> tuple[Part, ...]:
     return tuple(out)
 
 
-@cache
-def _vertical_strip_extensions(sigma: Part, r: int) -> tuple[Part, ...]:
+def _vertical_strips(sigma: Part, r: int):
     """Partitions lam containing sigma with lam/sigma a vertical strip of
-    size r, i.e. at most one added box per row."""
-    if r < 0:
-        return ()
-    if r == 0:
-        return (sigma,)
-    nrows = len(sigma) + r
-    out = []
-
-    def grow(i, remaining, prev, acc):
-        if remaining == 0:
-            rest = sigma[i:]
-            if not rest or rest[0] <= prev:
-                out.append(tuple(acc) + rest)
-            return
-        if i >= nrows:
-            return
-        base = sigma[i] if i < len(sigma) else 0
-        for add in (1, 0):
-            val = base + add
-            if add > remaining or val > prev:
-                continue
-            if val == 0:
-                return  # every later row is empty as well
-            acc.append(val)
-            grow(i + 1, remaining - add, val, acc)
-            acc.pop()
-
-    grow(0, r, 10**9, [])
-    return tuple(out)
+    size r, i.e. at most one added box per row.  Within each run of equal
+    rows of sigma (the r empty rows below it included), the added boxes go
+    to the top k rows of the run."""
+    runs = [(part, len(list(rows))) for part, rows in groupby(sigma + (0,) * r)]
+    for ks in product(*(range(n + 1) for _, n in runs)):
+        if sum(ks) == r:
+            lam = [x for (part, n), k in zip(runs, ks) for x in [part + 1] * k + [part] * (n - k)]
+            yield tuple(x for x in lam if x)
 
 
 @cache
@@ -135,28 +119,6 @@ def _pieri_coeff(lam: Part, sigma: Part, r: int) -> LaurentPoly:
     return coeff
 
 
-def _pieri_multiply(state: dict[Part, LaurentPoly], r: int) -> dict[Part, LaurentPoly]:
-    """Multiply a u-basis expansion by e_r."""
-    out: dict[Part, LaurentPoly] = {}
-    for sigma, c in state.items():
-        for lam in _vertical_strip_extensions(sigma, r):
-            term = c * _pieri_coeff(lam, sigma, r)
-            if term.is_zero:
-                continue
-            prev = out.get(lam)
-            out[lam] = term if prev is None else prev + term
-    return {k: v for k, v in out.items() if not v.is_zero}
-
-
-@cache
-def _e_expand(mu: Part) -> tuple[tuple[Part, LaurentPoly], ...]:
-    """E_mu (the product of e over the columns of mu) in the u basis."""
-    state: dict[Part, LaurentPoly] = {(): ONE}
-    for r in conjugate_parts(mu):
-        state = _pieri_multiply(state, r)
-    return tuple(sorted(state.items()))
-
-
 def _dominates(lam: Part, mu: Part) -> bool:
     """lam >= mu in dominance order (equal weights assumed)."""
     total_l = total_m = 0
@@ -169,35 +131,33 @@ def _dominates(lam: Part, mu: Part) -> bool:
 
 
 @cache
-def _u_in_e(mu: Part) -> tuple[tuple[Part, LaurentPoly], ...]:
-    """u_mu written as a Z[x]-combination of E basis elements."""
-    rep: dict[Part, LaurentPoly] = {mu: ONE}
-    for sigma, coeff in _e_expand(mu):
+def _times_e(nu: Part, rho: Part) -> tuple[tuple[Part, LaurentPoly], ...]:
+    """u_nu * E_rho in the u basis: the Pieri rule once per column of rho."""
+    state = {nu: ONE}
+    for r in conjugate_parts(rho):
+        out: dict[Part, LaurentPoly] = {}
+        for sigma, c in state.items():
+            for lam in _vertical_strips(sigma, r):
+                term = c * _pieri_coeff(lam, sigma, r)
+                if not term.is_zero:
+                    out[lam] = out[lam] + term if lam in out else term
+        state = out
+    return tuple(sorted((k, v) for k, v in state.items() if not v.is_zero))
+
+
+@cache
+def _u_product(nu: Part, mu: Part) -> tuple[tuple[Part, LaurentPoly], ...]:
+    """Expansion of u_nu * u_mu in the u basis."""
+    total = dict(_times_e(nu, mu))
+    for sigma, coeff in _times_e((), mu):
         if sigma == mu:
             if coeff != ONE:
                 raise AssertionError(f"expected unit diagonal at {mu}, got {coeff}")
             continue
         if not _dominates(mu, sigma):
             raise AssertionError(f"{sigma} not dominated by {mu}")
-        for rho, c2 in _u_in_e(sigma):
-            term = coeff * c2
-            prev = rep.get(rho)
-            rep[rho] = -term if prev is None else prev - term
-    return tuple(sorted((k, v) for k, v in rep.items() if not v.is_zero))
-
-
-@cache
-def _u_product(nu: Part, mu: Part) -> tuple[tuple[Part, LaurentPoly], ...]:
-    """Expansion of u_nu * u_mu in the u basis."""
-    total: dict[Part, LaurentPoly] = {}
-    for rho, coeff in _u_in_e(mu):
-        state: dict[Part, LaurentPoly] = {nu: ONE}
-        for r in conjugate_parts(rho):
-            state = _pieri_multiply(state, r)
-        for lam, c in state.items():
-            term = coeff * c
-            prev = total.get(lam)
-            total[lam] = term if prev is None else prev + term
+        for lam, c in _u_product(nu, sigma):
+            total[lam] = total.get(lam, ZERO) - coeff * c
     return tuple(sorted((k, v) for k, v in total.items() if not v.is_zero))
 
 
@@ -218,14 +178,8 @@ def hall_polynomial(lam, nu, mu) -> LaurentPoly:
     if hall_vanishes(lam, nu, mu):
         return ZERO
     # normalize the commutative product to one cached orientation
-    if mu <= nu:
-        expansion = _u_product(nu, mu)
-    else:
-        expansion = _u_product(mu, nu)
-    for key, coeff in expansion:
-        if key == lam:
-            return coeff
-    return ZERO
+    expansion = _u_product(nu, mu) if mu <= nu else _u_product(mu, nu)
+    return dict(expansion).get(lam, ZERO)
 
 
 def _subgroups(lc: Part, mu: Part) -> LaurentPoly:

@@ -17,6 +17,7 @@ A point degree of 1 may be omitted: ``R(p1,[2,1])`` is a degree-1 point.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Union
 
@@ -439,11 +440,9 @@ def parse_module(text: str) -> KroneckerDescriptor:
                 part = Partition(tuple(sorted(parts, reverse=True)))
             except ValueError as exc:
                 raise ModuleParseError(str(exc), i) from None
-            piece = KroneckerDescriptor.build({}, {}, [(label, degree, part)])
-            for _ in range(mult - 1):
-                piece = piece + KroneckerDescriptor.build(
-                    {}, {}, [(label, degree, part)]
-                )
+            piece = KroneckerDescriptor.build(
+                {}, {}, [(label, degree, sorted(part.parts * mult, reverse=True))]
+            )
         else:
             raise ModuleParseError(f"unknown summand kind {kind!r}", i)
         try:
@@ -473,20 +472,25 @@ def _pair_dims(x: Summand, y: Summand) -> tuple[int, int]:
     return max(e, 0), max(-e, 0)
 
 
-def _expand(x) -> list[Summand]:
-    if isinstance(x, KroneckerDescriptor):
-        return list(x.summands())
-    return [x]
+def _counted(x) -> list[tuple[Summand, int]]:
+    """Distinct indecomposable summands with their multiplicities."""
+    if not isinstance(x, KroneckerDescriptor):
+        return [(x, 1)]
+    out: list[tuple[Summand, int]] = [(Preprojective(n), m) for n, m in x.preprojective]
+    for label, deg, part in x.regular:
+        out += [(Regular(label, deg, t), k) for t, k in Counter(part.parts).items()]
+    out += [(Preinjective(n), m) for n, m in x.preinjective]
+    return out
 
 
 def hom_dim(x, y) -> int:
     """dim Hom(x, y); summands or whole descriptors (additive)."""
-    return sum(_pair_dims(s, t)[0] for s in _expand(x) for t in _expand(y))
+    return sum(m * n * _pair_dims(s, t)[0] for s, m in _counted(x) for t, n in _counted(y))
 
 
 def ext_dim(x, y) -> int:
     """dim Ext^1(x, y); summands or whole descriptors (additive)."""
-    return sum(_pair_dims(s, t)[1] for s in _expand(x) for t in _expand(y))
+    return sum(m * n * _pair_dims(s, t)[1] for s, m in _counted(x) for t, n in _counted(y))
 
 
 def euler_form(d1: DimVector, d2: DimVector) -> int:

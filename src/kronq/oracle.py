@@ -207,23 +207,14 @@ def _companion(tail: tuple[int, ...], p: int) -> list[list[int]]:
 def _regular_blocks(param, degree: int, t: int, p: int):
     """alpha/beta blocks for one uniserial of length t at a point.
 
-    Degree 1: alpha = identity, beta = Jordan block at the parameter; the
-    extra point 'inf' swaps the roles.  Higher degree: beta is a block
-    Jordan matrix whose diagonal blocks are the companion matrix of an
-    irreducible polynomial.
+    alpha is the identity and beta a block Jordan matrix whose diagonal
+    blocks are the companion matrix of the point's monic irreducible
+    polynomial.  The extra degree-1 point 'inf' swaps alpha with the
+    nilpotent beta of the polynomial x.
     """
-    if degree == 1:
-        size = t
-        ident = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-        jordan = [[0] * size for _ in range(size)]
-        for i in range(size):
-            if param != "inf":
-                jordan[i][i] = param % p
-            if i + 1 < size:
-                jordan[i][i + 1] = 1
-        if param == "inf":
-            return jordan, ident
-        return ident, jordan
+    if param == "inf":
+        ident, nilpotent = _regular_blocks((0,), 1, t, p)
+        return nilpotent, ident
     size = t * degree
     ident = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
     comp = _companion(param, p)
@@ -258,10 +249,7 @@ def build_rep(
         degree_labels.setdefault(deg, []).append(label)
     assignment = {}
     for deg, labels in degree_labels.items():
-        if deg == 1:
-            pool = [c for c in range(p)] + ["inf"]
-        else:
-            pool = list(_monic_irreducibles(deg, p))
+        pool = list(_monic_irreducibles(deg, p)) + (["inf"] if deg == 1 else [])
         if len(labels) > len(pool):
             raise PointCapacityError(
                 f"F_{p} has only {len(pool)} points of degree {deg}; "

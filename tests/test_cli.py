@@ -237,6 +237,16 @@ def test_homext_command(capsys):
     assert out == "x,y,hom,ext\r\nI2,P1,0,5\r\n"
 
 
+def test_homext_large_multiplicities(capsys):
+    # 2000 copies of P0 and of R_p(1): hom and ext sum over distinct summands
+    m = "2000*P0 + 2000*R(p,[1])"
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "homext", "-x", m, "-y", m)
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    assert out.splitlines() == ["hom = 12000000", "ext = 8000000"]
+
+
 def test_count_csv_matches_json(capsys):
     args = ["count", "-m", "P3", "-d", "2,1", "--at", "2", "--euler"]
     code, json_out, _ = run(capsys, *args, "--format", "json")

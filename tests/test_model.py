@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from kronq.model import (
@@ -167,6 +169,16 @@ def test_parse_and_render():
     assert str(parse_module("2*R(p,[1])")) == "R(p,[1,1])"
 
 
+def test_parse_repeated_regular_summand():
+    started = time.perf_counter()
+    m = parse_module("2000*P0 + 8000*R(p,[1])")
+    assert time.perf_counter() - started < 1
+    assert m.regular[0][2].parts == (1,) * 8000
+    assert parse_module("2*R(p,[2,1]) + R(p,[3])") == parse_module("R(p,[3,2,2,1,1])")
+    # zero copies of a regular summand are no summand, as for P and I
+    assert parse_module("0*R(p,[1]) + P1") == parse_module("0*I2 + P1")
+
+
 def test_parse_errors():
     for bad, pos_at_least in [
         ("P1 + Q2", 5),
@@ -176,8 +188,9 @@ def test_parse_errors():
         ("P1 P2", 3),
         ("", 0),
     ]:
-        with pytest.raises(ModuleParseError):
+        with pytest.raises(ModuleParseError) as exc:
             parse_module(bad)
+        assert exc.value.position >= pos_at_least, bad
     with pytest.raises(ModuleParseError):
         parse_module("R(p,[1]) + R(p@2,[1])")  # degree conflict on one label
 
