@@ -3,19 +3,28 @@
 The dispatcher reduces a count to closed forms and diagonal regular counts:
 
   1. dimension guards (0 outside the box, 1 at the corners);
-  2. a single indecomposable with a closed form is answered directly;
-  3. any preprojective summand: reflect away from the projective side,
+  2. two proven vanishing rules answer 0 before the memo is consulted, so
+     a cell known to be empty is never dispatched, checked or stored:
+     a module with no preinjective summand has only submodules with
+     a >= b, since Hom(I, P + R) = 0 (the defect rule); and for a rigid
+     module (Ext^1(M, M) = 0) of dimension alpha the quiver Grassmannian
+     Gr_e(M) is empty or smooth of dimension <e, alpha - e> (Caldero,
+     Reineke, J. Pure Appl. Algebra 212, 2008), so the count of
+     e = (a, b) vanishes when that Euler form is negative (the rigid rule);
+  3. a single indecomposable with a closed form is answered directly;
+  4. any preprojective summand: reflect away from the projective side,
      which strictly lowers the largest preprojective index;
-  4. otherwise any preinjective summand: count in the dual module.  The
+  5. otherwise any preinjective summand: count in the dual module.  The
      duality D = Hom_k(-, k) swaps P_n and I_n and keeps each tube (Assem,
      Simson, Skowronski, Elements I, III.3), and U -> (M/U)* matches the
      submodules of dimension (a, b) with those of D(M) of dimension
-     (n - b, m - a); D(M) has a preprojective summand, so it takes step 3,
+     (n - b, m - a); D(M) has a preprojective summand, so it takes step 4,
      and its memo is the only one that stores these values;
-  5. otherwise the module is regular: counts below the diagonal vanish,
-     above it the same reflection lowers a, and on the diagonal the count
-     factorizes over the tubes, each point contributing its subgroup
-     counts by order (Birkhoff's product, see :mod:`kronq.hall`).
+  6. otherwise the module is regular: counts below the diagonal vanish by
+     the defect rule, above it the same reflection lowers a, and on the
+     diagonal the count factorizes over the tubes, each point
+     contributing its subgroup counts by order (Birkhoff's product, see
+     :mod:`kronq.hall`).
 
 The recursion sums Gaussian-weighted counts of a reflected module.  The
 summation bounds come from the dimension guards of the reflected module,
@@ -51,6 +60,7 @@ from .model import (
     Preinjective,
     Preprojective,
     Regular,
+    ext_dim,
     preinjective,
 )
 from .qbinom import gauss
@@ -68,12 +78,15 @@ class _Record:
     position of the plus-reflected record of recursion_a and ``dual`` that
     of the dual module's record; both are filled in on first use.
     ``memo`` maps (a, b) to a count, or is None when memoization is off or
-    the record answers through its dual.
+    the record answers through its dual.  ``no_preinjective`` and
+    ``rigid`` switch on the defect and rigid vanishing rules.
     """
 
     def __init__(self, module: KroneckerDescriptor, closed, memoize: bool):
         self.module = module
         self.m, self.n = module.dim_vector()
+        self.no_preinjective = not module.preinjective
+        self.rigid = ext_dim(module, module) == 0
         self.closed = closed
         self.via_dual = closed is None and bool(module.preinjective) and not module.preprojective
         self.down_a: int | None = None
@@ -170,6 +183,10 @@ class CountingEngine:
             return ZERO
         if (a == 0 and b == 0) or (a == rec.m and b == rec.n):
             return ONE
+        if rec.no_preinjective and a < b:
+            return ZERO
+        if rec.rigid and a * (rec.m - a) + b * (rec.n - b) - 2 * b * (rec.m - a) < 0:
+            return ZERO  # <e, alpha - e> < 0
         memo = rec.memo
         if memo is not None:
             hit = memo.get((a, b))
@@ -192,14 +209,9 @@ class CountingEngine:
         if rec.closed is not None:
             counter, index = rec.closed
             return counter(index, a, b)
-        module = rec.module
-        if module.preprojective:
+        if rec.module.preprojective or a > b:
             return self._recursion_a(rec, a, b)
-        if a < b:
-            return ZERO  # nothing preinjective embeds in a regular module
-        if a > b:
-            return self._recursion_a(rec, a, b)
-        return regular_diagonal_count(module, a)
+        return regular_diagonal_count(rec.module, a)
 
     def _recursion_a(self, rec: _Record, a: int, b: int) -> LaurentPoly:
         refl = self._down_a(rec)

@@ -267,6 +267,15 @@ def test_no_cache_flag(capsys):
     assert out1 == out2
 
 
+def test_count_deep_rigid_sum(capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "count", "-m", "P300 + P299", "-d", "300,299")
+    assert time.perf_counter() - started < 2
+    assert code == 0
+    assert out.strip() == "q^2 + q + 1"
+    assert err == ""
+
+
 def test_count_too_deep_exit_1(capsys):
     code, out, err = run(capsys, "count", "-m", "P700 + P699", "-d", "700,699")
     assert code == 1

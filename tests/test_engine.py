@@ -12,7 +12,14 @@ from kronq.closed_form import (
 )
 from kronq.engine import CountingEngine, count, recursion_a, recursion_b
 from kronq.laurent import ONE, ZERO, parse_poly
-from kronq.model import KroneckerDescriptor, Partition, parse_module
+from kronq.model import (
+    DimVector,
+    KroneckerDescriptor,
+    Partition,
+    euler_form,
+    ext_dim,
+    parse_module,
+)
 from kronq.oracle import build_rep, submodule_table
 
 
@@ -219,19 +226,35 @@ def _dual(m: KroneckerDescriptor) -> KroneckerDescriptor:
     return KroneckerDescriptor(m.preinjective, m.preprojective, m.regular)
 
 
-def test_duality_on_random_modules():
-    hyp = pytest.importorskip("hypothesis")
-    st = hyp.strategies
+def _random_modules(st, max_dim: int):
+    """Sums of P0-P2, I0-I2 and tube summands at a degree-1 and a degree-2
+    point, with total dimension at most max_dim."""
     summands = st.dictionaries(st.integers(0, 2), st.integers(1, 2), max_size=2)
     parts = st.lists(st.integers(1, 3), max_size=2).map(
         lambda ps: Partition(tuple(sorted(ps, reverse=True)))
     )
-    modules = st.builds(
+    return st.builds(
         lambda pp, pi, deg1, deg2: KroneckerDescriptor.build(
             pp, pi, [("p", 1, deg1), ("r", 2, deg2)]
         ),
         summands, summands, parts, parts,
-    ).filter(lambda m: sum(m.dim_vector()) <= 14)
+    ).filter(lambda m: sum(m.dim_vector()) <= max_dim)
+
+
+def _cells(m: KroneckerDescriptor):
+    dm, dn = m.dim_vector()
+    return [(a, b) for a in range(dm + 1) for b in range(dn + 1)]
+
+
+def _grassmannian_dim(m: KroneckerDescriptor, a: int, b: int) -> int:
+    """<e, alpha - e> for e = (a, b) and alpha the dimension of m."""
+    dm, dn = m.dim_vector()
+    return euler_form(DimVector(a, b), DimVector(dm - a, dn - b))
+
+
+def test_duality_on_random_modules():
+    hyp = pytest.importorskip("hypothesis")
+    modules = _random_modules(hyp.strategies, 14)
     engines = CountingEngine(), CountingEngine(use_closed_forms=False)
 
     @hyp.settings(max_examples=60, deadline=None, database=None)
@@ -270,3 +293,64 @@ def test_engine_still_correct_after_recursion_error():
             for a in range(dim.a + 1):
                 for b in range(dim.b + 1):
                     assert engine.count(m, a, b) == fresh.count(m, a, b)
+
+
+def test_q1_convolution_on_random_modules():
+    # at q = 1 a count is the Euler characteristic of a quiver Grassmannian,
+    # which is multiplicative over direct sums: a nonzero cell wrongly
+    # answered as 0 has a positive value at q = 1 and breaks the sum
+    hyp = pytest.importorskip("hypothesis")
+    small = _random_modules(hyp.strategies, 8)
+    engine = CountingEngine()
+
+    def at_one(m, a, b):
+        return engine.count(m, a, b).eval_integer(1)
+
+    @hyp.settings(max_examples=60, deadline=None, database=None)
+    @hyp.given(small, small)
+    @hyp.example(parse_module("P2"), parse_module("P0"))  # rigid parts, sum not rigid
+    def check(m, n):
+        s = m + n
+        for a, b in _cells(s):
+            convolved = sum(at_one(m, f, g) * at_one(n, a - f, b - g) for f, g in _cells(m))
+            assert at_one(s, a, b) == convolved, (m, n, a, b)
+
+    check()
+
+
+def test_rigid_counts_have_the_grassmannian_degree():
+    # Gr_e(M) of a rigid M is empty or smooth of dimension <e, alpha - e>;
+    # the rigid sums are those of P_n and P_(n+1), or of I_n and I_(n+1)
+    for n in range(5):
+        for s in range(3):
+            for t in range(0 if s else 1, 3):
+                pp = KroneckerDescriptor.build({n: s, n + 1: t})
+                for m in (pp, _dual(pp)):
+                    assert ext_dim(m, m) == 0, m
+                    for a, b in _cells(m):
+                        value = count(m, a, b)
+                        if not value.is_zero:
+                            assert value.max_exponent == _grassmannian_dim(m, a, b), (m, a, b)
+
+
+def test_counts_have_at_least_the_expected_degree():
+    # every component of any Gr_e(M) has dimension at least <e, alpha - e>
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=40, deadline=None, database=None)
+    @hyp.given(_random_modules(hyp.strategies, 14))
+    def check(m):
+        for a, b in _cells(m):
+            value = count(m, a, b)
+            if not value.is_zero:
+                assert value.max_exponent >= _grassmannian_dim(m, a, b), (m, a, b)
+
+    check()
+
+
+def test_deep_rigid_count_memoizes_only_its_nonzero_cells():
+    engine = CountingEngine()
+    assert engine.count(parse_module("P150 + P149"), 150, 149) == parse_poly("q^2 + q + 1")
+    # one nonzero cell per reflection step; the vanishing rules answer the
+    # other cells before the memo
+    assert sum(len(rec.memo) for rec in engine._records if rec.memo is not None) <= 200
