@@ -17,17 +17,16 @@ Symmetric Functions and Hall Polynomials, ch. II):
 
 The single polynomial g, which only ``hall_polynomial`` (the ``kronq hall``
 command) needs, is a coefficient of u_nu * u_mu in the Hall algebra.  A
-product with one elementary factor e_r has an explicit subspace-flag
-coefficient (the Pieri rule):
+product with one elementary factor e_r has a closed coefficient (the
+Pieri rule; Macdonald, ch. II (4.6)):
 
     u_sigma * e_r = sum over lam with lam/sigma a vertical r-strip of
-        prod_j  x^((lam'_{j+2} - x_{j+1}) (x_j - x_{j+1}))
-                * gauss(x_j - x_{j+1}, lam'_{j+1} - lam'_{j+2})
+        x^(n(lam) - n(sigma) - r(r-1)/2 - sum_i k_i (n_i - k_i)) * prod_i gauss(k_i, n_i)
 
-where x_j is the number of boxes of lam/sigma in columns > j.  Applying it
-once per column of rho gives u_nu * E_rho, where E_rho is the product of e
-over the columns of rho.  Since E_mu = u_mu + (terms strictly below mu in
-dominance order),
+with n_i = lam'_i - lam'_{i+1}, k_i = lam'_i - sigma'_i and
+n(lam) = sum_i (i - 1) lam_i.  Applying it once per column of rho gives
+u_nu * E_rho, where E_rho is the product of e over the columns of rho.
+Since E_mu = u_mu + (terms strictly below mu in dominance order),
 
     u_nu * u_mu = u_nu * E_mu - sum over sigma < mu of [u_sigma]E_mu * u_nu * u_sigma,
 
@@ -94,29 +93,23 @@ def _vertical_strips(sigma: Part, r: int):
 @cache
 def _pieri_coeff(lam: Part, sigma: Part, r: int) -> LaurentPoly:
     """Coefficient of u_lam in u_sigma * e_r: the number of elementary
-    subgroups of rank r with quotient type sigma, as a polynomial."""
-    lc = conjugate_parts(lam)
+    subgroups of rank r with quotient type sigma, as a polynomial, by
+    Macdonald's closed product (module docstring)."""
+    lc = conjugate_parts(lam) + (0,)
     sc = conjugate_parts(sigma)
-
-    def col(c, j):  # 1-based column heights
-        return c[j - 1] if j - 1 < len(c) else 0
-
-    # x_j = boxes of lam/sigma strictly beyond column j
-    depth = len(lc) + 1
-    x = [0] * (depth + 2)
-    x[0] = r
-    for j in range(1, depth + 2):
-        x[j] = x[j - 1] - (col(lc, j) - col(sc, j))
+    sc += (0,) * (len(lc) - len(sc))
+    exp = _n(lam) - _n(sigma) - r * (r - 1) // 2
     coeff = ONE
-    for j in range(depth):
-        step = x[j] - x[j + 1]
-        width = col(lc, j + 1) - col(lc, j + 2)
-        g = gauss(step, width)
-        if g.is_zero:
-            return ZERO
-        exp = (col(lc, j + 2) - x[j + 1]) * step
-        coeff = coeff * g.shift(exp)
-    return coeff
+    for i in range(len(lc) - 1):
+        n, k = lc[i] - lc[i + 1], lc[i] - sc[i]
+        coeff = coeff * gauss(k, n)
+        exp -= k * (n - k)
+    return coeff.shift(exp)
+
+
+def _n(lam: Part) -> int:
+    """n(lam) = sum_i (i - 1) lam_i."""
+    return sum(i * part for i, part in enumerate(lam))
 
 
 def _dominates(lam: Part, mu: Part) -> bool:

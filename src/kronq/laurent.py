@@ -2,19 +2,24 @@
 
 Every count produced by this package is a value of this type.  Coefficients
 are Python ints (arbitrary precision) and no floating point is used anywhere.
-Polynomials are kept in canonical form: the coefficient map never stores a
-zero, so equal values always have identical maps.
+A polynomial is stored densely as its lowest exponent ``lo`` and the tuple
+``cs`` of coefficients of q^lo, q^(lo+1), ...  Polynomials are kept in
+canonical form: the first and last entries of ``cs`` are nonzero and zero is
+``(0, ())``, so equal values always have identical pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 __all__ = ["LaurentPoly", "PolyParseError", "parse_poly", "ZERO", "ONE", "Q"]
 
-# Products with more terms than this go through the packed-integer
-# convolution below instead of the dict loop.
-_PACK_THRESHOLD = 4
+# Products whose shorter factor has more terms than this go through the
+# packed-integer convolution below instead of the schoolbook loop.  Measured
+# on the products the benchmark workloads make, packing starts to win at 13
+# to 16 terms, depending on the workload (table in CHANGES.md).
+_PACK_THRESHOLD = 14
 
 
 def _pack(vals: list[int], width: int) -> int:
@@ -32,89 +37,109 @@ def _unpack(n: int, width: int, count: int) -> list[int]:
     ]
 
 
-def _convolve(xs: list[int], ys: list[int]) -> list[int]:
+def _convolve(xs, ys) -> list[int]:
     """Exact integer convolution via Kronecker substitution.
 
-    Splitting into positive and negative parts keeps every packed limb
-    nonnegative; the limb width is chosen so sums cannot carry over.
+    Every limb holds its coefficient plus half the limb's range, so signed
+    lists pack as nonnegative limbs; the bias is taken off each packed
+    factor, the two are multiplied once, and the product's bias is added
+    back before one unpack.  ``bound`` bounds every coefficient of the
+    product, and the limb width makes ``half`` exceed it, so no biased
+    coefficient leaves its limb.
     """
-    bound = (
-        max(abs(v) for v in xs) * max(abs(v) for v in ys) * min(len(xs), len(ys))
-    )
-    width = (bound.bit_length() + 9) // 8 + 1
-    xp = _pack([v if v > 0 else 0 for v in xs], width)
-    xn = _pack([-v if v < 0 else 0 for v in xs], width)
-    yp = _pack([v if v > 0 else 0 for v in ys], width)
-    yn = _pack([-v if v < 0 else 0 for v in ys], width)
+    bound = max(map(abs, xs)) * max(map(abs, ys)) * min(len(xs), len(ys))
+    width = bound.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    limb = half.to_bytes(width, "little")
+
+    def packed(vals):
+        return _pack([v + half for v in vals], width) - int.from_bytes(
+            limb * len(vals), "little"
+        )
+
     count = len(xs) + len(ys) - 1
-    plus = _unpack(xp * yp + xn * yn, width, count)
-    minus = _unpack(xp * yn + xn * yp, width, count)
-    return [u - v for u, v in zip(plus, minus)]
+    prod = packed(xs) * packed(ys) + int.from_bytes(limb * count, "little")
+    return [v - half for v in _unpack(prod, width, count)]
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial, exponent -> coefficient."""
+    """Immutable Laurent polynomial sum_i cs[i] * q^(lo + i), canonical:
+    ``cs`` is a tuple whose first and last entries are nonzero, and zero is
+    ``lo, cs = 0, ()``."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("lo", "cs")
 
-    def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for e, v in items:
-                v = c.get(e, 0) + v
-                if v:
-                    c[e] = v
-                elif e in c:
-                    del c[e]
-        self._c = c
+    def __init__(self, coeffs=()):
+        """From an exponent -> coefficient dict or (exponent, coefficient)
+        pairs; repeated exponents add up."""
+        pairs = list(coeffs.items() if isinstance(coeffs, dict) else coeffs)
+        lo = min((e for e, _ in pairs), default=0)
+        vals = [0] * (max((e for e, _ in pairs), default=lo - 1) - lo + 1)
+        for e, v in pairs:
+            vals[e - lo] += v
+        p = LaurentPoly.dense(lo, vals)
+        self.lo, self.cs = p.lo, p.cs
 
     @classmethod
-    def _raw(cls, c: dict) -> "LaurentPoly":
+    def dense(cls, lo: int, vals) -> "LaurentPoly":
+        """sum_i vals[i] * q^(lo + i), trimmed to canonical form."""
+        i, j = 0, len(vals)
+        while j and not vals[j - 1]:
+            j -= 1
+        while i < j and not vals[i]:
+            i += 1
         self = object.__new__(cls)
-        self._c = c
+        self.lo, self.cs = (lo + i, tuple(vals[i:j])) if j else (0, ())
         return self
 
     @classmethod
     def const(cls, v: int) -> "LaurentPoly":
-        return cls._raw({0: v}) if v else cls._raw({})
+        return cls.dense(0, (v,))
 
     @classmethod
     def monomial(cls, exponent: int, coeff: int = 1) -> "LaurentPoly":
-        return cls._raw({exponent: coeff}) if coeff else cls._raw({})
+        return cls.dense(exponent, (coeff,))
 
     # -- basic queries ----------------------------------------------------
 
-    def items(self):
-        return self._c.items()
+    def items(self) -> list[tuple[int, int]]:
+        """(exponent, coefficient) pairs with nonzero coefficient, ascending."""
+        return [(self.lo + i, v) for i, v in enumerate(self.cs) if v]
+
+    @property
+    def _c(self) -> dict[int, int]:
+        # exponent -> coefficient view for bench/tracing.py, its one reader,
+        # which takes term counts and coefficient sizes from it
+        return dict(self.items())
 
     def coefficient(self, exponent: int) -> int:
-        return self._c.get(exponent, 0)
+        i = exponent - self.lo
+        return self.cs[i] if 0 <= i < len(self.cs) else 0
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self.cs)
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self.cs
 
     @property
     def min_exponent(self) -> int:
         """Smallest exponent with nonzero coefficient; 0 for the zero poly."""
-        return min(self._c) if self._c else 0
+        return self.lo
 
     @property
     def max_exponent(self) -> int:
-        return max(self._c) if self._c else 0
+        return self.lo + len(self.cs) - 1 if self.cs else 0
 
     @property
     def is_polynomial(self) -> bool:
         """True when no negative exponent occurs."""
-        return not self._c or min(self._c) >= 0
+        return self.lo >= 0
 
     @property
     def has_nonnegative_coefficients(self) -> bool:
-        return all(v > 0 for v in self._c.values())
+        return not self.cs or min(self.cs) >= 0
 
     # -- ring operations --------------------------------------------------
 
@@ -130,19 +155,21 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            v = c.get(e, 0) + v
-            if v:
-                c[e] = v
-            else:
-                del c[e]
-        return LaurentPoly._raw(c)
+        if not other.cs:
+            return self
+        if not self.cs:
+            return other
+        lo = min(self.lo, other.lo)
+        xs = (0,) * (self.lo - lo) + self.cs
+        ys = (0,) * (other.lo - lo) + other.cs
+        if len(xs) < len(ys):
+            xs, ys = ys, xs
+        return LaurentPoly.dense(lo, [*map(add, xs, ys), *xs[len(ys) :]])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._raw({e: -v for e, v in self._c.items()})
+        return self.shift(0, -1)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -157,52 +184,38 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._c, other._c
+        a, b = self.cs, other.cs
         if not a or not b:
             return ZERO
         if len(a) == 1:
-            ((e, v),) = a.items()
-            return other.shift(e, v)
+            return other.shift(self.lo, a[0])
         if len(b) == 1:
-            ((e, v),) = b.items()
-            return self.shift(e, v)
-        if min(len(a), len(b)) <= _PACK_THRESHOLD:
-            c = {}
-            for e1, v1 in a.items():
-                for e2, v2 in b.items():
-                    e = e1 + e2
-                    v = c.get(e, 0) + v1 * v2
-                    if v:
-                        c[e] = v
-                    elif e in c:
-                        del c[e]
-            return LaurentPoly._raw(c)
-        lo_a, lo_b = min(a), min(b)
-        xs = [0] * (max(a) - lo_a + 1)
-        for e, v in a.items():
-            xs[e - lo_a] = v
-        ys = [0] * (max(b) - lo_b + 1)
-        for e, v in b.items():
-            ys[e - lo_b] = v
-        zs = _convolve(xs, ys)
-        lo = lo_a + lo_b
-        return LaurentPoly._raw({lo + i: v for i, v in enumerate(zs) if v})
+            return self.shift(other.lo, b[0])
+        if min(len(a), len(b)) > _PACK_THRESHOLD:
+            vals = _convolve(a, b)
+        else:
+            vals = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        vals[j] += x * y
+        return LaurentPoly.dense(self.lo + other.lo, vals)
 
     __rmul__ = __mul__
 
     def shift(self, k: int, scale: int = 1) -> "LaurentPoly":
         """Multiply by scale * q^k."""
-        if not scale:
-            return ZERO
         if scale == 1:
-            return LaurentPoly._raw({e + k: v for e, v in self._c.items()})
-        return LaurentPoly._raw({e + k: v * scale for e, v in self._c.items()})
+            return LaurentPoly.dense(self.lo + k, self.cs)
+        return LaurentPoly.dense(self.lo + k, [v * scale for v in self.cs])
 
     def stretched(self, d: int) -> "LaurentPoly":
-        """Substitute q -> q^d (exponent scaling)."""
-        if d == 1:
+        """Substitute q -> q^d for d >= 1 (exponent scaling)."""
+        if d == 1 or not self.cs:
             return self
-        return LaurentPoly._raw({e * d: v for e, v in self._c.items()})
+        vals = [0] * (d * (len(self.cs) - 1) + 1)
+        vals[::d] = self.cs
+        return LaurentPoly.dense(self.lo * d, vals)
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises ValueError when the quotient is not
@@ -212,13 +225,7 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return ZERO
-        lo_n, lo_d = self.min_exponent, other.min_exponent
-        rem = [0] * (self.max_exponent - lo_n + 1)
-        for e, v in self._c.items():
-            rem[e - lo_n] = v
-        div = [0] * (other.max_exponent - lo_d + 1)
-        for e, v in other._c.items():
-            div[e - lo_d] = v
+        rem, div = list(self.cs), other.cs
         dn, dd = len(rem) - 1, len(div) - 1
         if dn < dd:
             raise ValueError("not divisible")
@@ -230,12 +237,11 @@ class LaurentPoly:
             q = top // div[dd]
             quot[i] = q
             if q:
-                for j, dv in enumerate(div):
-                    rem[i + j] -= q * dv
+                for j, dv in enumerate(div, i):
+                    rem[j] -= q * dv
         if any(rem):
             raise ValueError("not divisible")
-        lo = lo_n - lo_d
-        return LaurentPoly._raw({lo + i: v for i, v in enumerate(quot) if v})
+        return LaurentPoly.dense(self.lo - other.lo, quot)
 
     # -- evaluation -------------------------------------------------------
 
@@ -243,13 +249,13 @@ class LaurentPoly:
         """Exact value at a rational point."""
         q0 = Fraction(q0)
         if q0 == 0:
-            if self._c and min(self._c) < 0:
+            if self.lo < 0:
                 raise ZeroDivisionError(
                     "cannot evaluate negative exponents at 0"
                 )
-            return Fraction(self._c.get(0, 0))
+            return Fraction(self.coefficient(0))
         total = Fraction(0)
-        for e, v in self._c.items():
+        for e, v in self.items():
             total += v * q0**e
         return total
 
@@ -264,32 +270,28 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self._c == ({0: other} if other else {})
+            other = LaurentPoly.const(other)
         if isinstance(other, LaurentPoly):
-            return self._c == other._c
+            return self.lo == other.lo and self.cs == other.cs
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return hash((self.lo, self.cs))
 
     def to_string(self, var: str = "q") -> str:
-        if not self._c:
+        if not self.cs:
             return "0"
-        chunks = []
-        for e in sorted(self._c, reverse=True):
-            v = self._c[e]
+        terms = []
+        for e, v in reversed(self.items()):
             mag = abs(v)
             if e == 0:
                 body = str(mag)
             else:
                 power = var if e == 1 else f"{var}^{e}"
                 body = power if mag == 1 else f"{mag}*{power}"
-            chunks.append(("-" if v < 0 else "+", body))
-        sign, body = chunks[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
+            terms.append(("- " if v < 0 else "+ ") + body)
+        out = " ".join(terms)
+        return out[2:] if out[0] == "+" else "-" + out[2:]
 
     def __str__(self):
         return self.to_string()
@@ -298,9 +300,9 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_string()!r})"
 
 
-ZERO = LaurentPoly._raw({})
-ONE = LaurentPoly._raw({0: 1})
-Q = LaurentPoly._raw({1: 1})
+ZERO = LaurentPoly.dense(0, ())
+ONE = LaurentPoly.const(1)
+Q = LaurentPoly.monomial(1)
 
 
 class PolyParseError(ValueError):
@@ -317,7 +319,7 @@ def parse_poly(text: str, var: str = "q") -> LaurentPoly:
     Accepts terms like ``5``, ``q``, ``q^-2``, ``3*q^4`` (the ``*`` may be
     omitted) joined by ``+`` or ``-``.
     """
-    coeffs: dict[int, int] = {}
+    terms: list[tuple[int, int]] = []
     i, n = 0, len(text)
     first = True
 
@@ -366,11 +368,7 @@ def parse_poly(text: str, var: str = "q") -> LaurentPoly:
                 i = j
         elif coeff is None:
             raise PolyParseError("expected a term", i)
-        v = coeffs.get(exponent, 0) + sign * (1 if coeff is None else coeff)
-        if v:
-            coeffs[exponent] = v
-        elif exponent in coeffs:
-            del coeffs[exponent]
+        terms.append((exponent, sign * (1 if coeff is None else coeff)))
         first = False
         i = skip_ws(i)
-    return LaurentPoly._raw(coeffs)
+    return LaurentPoly(terms)

@@ -54,7 +54,7 @@ def gauss(l: int, a: int) -> LaurentPoly:
     for _ in range(a - l):
         for j in range(1, l + 1):
             row[j] = row[j - 1] + (row[j] << 8 * width * j)
-    return LaurentPoly(enumerate(_unpack(row[l], width, l * (a - l) + 1)))
+    return LaurentPoly.dense(0, _unpack(row[l], width, l * (a - l) + 1))
 
 
 @cache
