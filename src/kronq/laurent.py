@@ -260,11 +260,28 @@ class LaurentPoly:
         return total
 
     def eval_integer(self, q0) -> int:
-        """Exact value at q0, asserting the result is an integer."""
-        val = self.eval_at(q0)
-        if val.denominator != 1:
-            raise ValueError(f"value {val} at q={q0} is not an integer")
-        return val.numerator
+        """Exact value at q0, asserting the result is an integer.
+
+        An int q0 takes Horner's rule on ``cs`` and, for negative exponents,
+        one exact division by q0^-lo; other input goes through ``eval_at``.
+        """
+        if not isinstance(q0, int):
+            val = self.eval_at(q0)
+            if val.denominator != 1:
+                raise ValueError(f"value {val} at q={q0} is not an integer")
+            return val.numerator
+        total = 0
+        for c in reversed(self.cs):
+            total = total * q0 + c
+        if self.lo >= 0:
+            return total * q0**self.lo
+        if q0 == 0:
+            raise ZeroDivisionError("cannot evaluate negative exponents at 0")
+        den = q0**-self.lo
+        val, rem = divmod(total, den)
+        if rem:
+            raise ValueError(f"value {Fraction(total, den)} at q={q0} is not an integer")
+        return val
 
     # -- equality, hashing, display ---------------------------------------
 

@@ -8,21 +8,36 @@ coefficient ``gauss_int``, which the tests check against subspace
 enumeration.
 
 A submodule is a pair (U1, U2) with alpha U2 + beta U2 inside U1.  For each
-vertex-2 subspace U2, enumerated as an RREF basis, the oracle takes the rank
-w of its images; the U1 that contain them number gauss(a - w, dim1 - w) at
-q = p.  The alpha and beta images of every vertex-2 vector are computed once
-per call, in a table of p^dim2 entries keyed by the vector.  Over F_2 an
-image is an int bitmask and the rank comes from XOR reduction; over odd p
-it comes from one incremental echelon of rows normalised at their pivots,
-the same routine ``hom_dim_numeric`` uses.  A call whose table entries and
-vertex-2 subspaces of the requested dimensions add up to more than 10^6 is
-refused with ``ValueError`` before any enumeration.
-``count_submodules_naive`` keeps its own matrix-vector product and span
-test as an independent cross-check.
+vertex-2 subspace U2 the oracle takes the rank w of its images; the U1 that
+contain them number gauss(a - w, dim1 - w) at q = p.
+
+The alpha and beta images of every vertex-2 vector are built once per
+call, indexed by the vector's integer value (a bitmask over F_2, base p
+otherwise): a list of int bitmasks over F_2, a flat byte array over odd p.
+The subspaces U2 are then met in one depth-first walk of the RREF tree.  A
+node at depth d is a d-subspace given by its bottom d RREF rows; a child
+adds a top row with a pivot below every pivot so far.  Each node carries
+the echelon of its images, so a child reduces only its two new images
+into its parent's echelon: by XOR on bitmasks over F_2, and over odd p by
+``_add``, the echelon step of rows normalised at their pivots that
+``hom_dim_numeric`` also uses.  One walk fills the histogram of every
+requested dimension, and extends a node only while its top pivot leaves
+room to reach the next requested depth.  For the dimensions ``dims`` it
+visits sum over d of gauss(d, n - nx(d) + d) nodes, with n = dim2 and
+nx(d) the smallest requested dimension >= d: every subspace for a whole
+table, and only the d-subspaces with top pivot >= b - d for one cell b.  A
+call whose p^dim2 image entries and walked nodes add up to more than 10^6
+is refused with ``ValueError`` before any enumeration.
+
+``count_submodules_naive`` keeps its own RREF enumeration, matrix-vector
+product and span test as an independent cross-check.  That enumeration,
+which ``enumerate_subspaces`` also returns, is built afresh on each call
+and kept by no cache.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
@@ -71,46 +86,35 @@ def _inverses(p: int) -> tuple[int, ...]:
     return (0,) + tuple(pow(x, -1, p) for x in range(1, p))
 
 
-def _rank(rows, p: int) -> int:
-    """Rank of a list of vectors over F_p, by one incremental echelon.
+def _add(echelon: list, v, p: int) -> None:
+    """Reduce v by the echelon's rows in order; keep it if it is not zero.
 
     Each kept row is normalised to 1 at its pivot and is zero at the
-    pivots of the rows kept before it, so a new vector, reduced by the
-    kept rows in order, ends zero at every kept pivot.
+    pivots of the rows kept before it, so a vector reduced by the kept
+    rows in order ends zero at every kept pivot.
     """
-    inv = _inverses(p)
+    for piv, row in echelon:
+        f = v[piv]
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    for piv, x in enumerate(v):
+        if x:
+            if x != 1:
+                s = _inverses(p)[x]
+                v = [y * s % p for y in v]
+            echelon.append((piv, v))
+            return
+
+
+def _rank(rows, p: int) -> int:
+    """Rank of a list of vectors over F_p, by one incremental echelon."""
     full = len(rows[0]) if rows else 0
-    echelon = []  # (pivot, row normalised to 1 at the pivot)
+    echelon: list = []
     for v in rows:
-        for piv, row in echelon:
-            f = v[piv]
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        for piv, x in enumerate(v):
-            if x:
-                if x != 1:
-                    s = inv[x]
-                    v = [y * s % p for y in v]
-                echelon.append((piv, v))
-                if len(echelon) == full:
-                    return full
-                break
+        _add(echelon, v, p)
+        if len(echelon) == full:
+            break
     return len(echelon)
-
-
-def _rank_f2(masks) -> int:
-    """Rank over F_2 of vectors packed as int bitmasks, by XOR reduction.
-
-    ``min(v, v ^ b)`` clears the top bit of ``b`` from ``v``; every kept
-    vector has a top bit that the vectors kept after it lack.
-    """
-    basis: list[int] = []
-    for v in masks:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-    return len(basis)
 
 
 def _matvec(mat, vec, p):
@@ -120,7 +124,6 @@ def _matvec(mat, vec, p):
 # -- subspace enumeration ---------------------------------------------------
 
 
-@cache
 def _subspace_bases(n: int, k: int, p: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All k-dimensional subspaces of F_p^n as reduced-row-echelon bases,
     in deterministic order (pivot pattern, then free entries)."""
@@ -303,51 +306,128 @@ def build_rep(
 # -- counting ----------------------------------------------------------------
 
 
+def _image_tables(rep: MatrixRep) -> tuple:
+    """The alpha and beta images of every vertex-2 vector, indexed by the
+    vector's integer value: coordinate j is bit j over F_2 and digit j base
+    p otherwise.
+
+    Over F_2 a table is a list of int bitmasks.  Over odd p it is one flat
+    array of dim1 residues per vector, in order of the vector's value.
+    """
+    p, k = rep.p, rep.dim1
+    tables = []
+    for mat in (rep.alpha, rep.beta):
+        cols = [[row[j] for row in mat] for j in range(rep.dim2)]
+        if p == 2:
+            table = [0]
+            for col in cols:
+                mask = sum(x << i for i, x in enumerate(col))
+                table += [v ^ mask for v in table]
+        else:
+            code = "B" if p < 256 else "L"
+            table = array(code, bytes(k))
+            for j, col in enumerate(cols):
+                col = col * p**j  # one copy per vector so far
+                table += array(
+                    code,
+                    ((s + x * c) % p for x in range(1, p) for s, c in zip(table, col)),
+                )
+        tables.append(table)
+    return tuple(tables)
+
+
+def _floors(dims) -> list[int]:
+    """Per depth d up to max(dims), the least top pivot that leaves room to
+    reach the smallest requested depth nx(d) >= d, namely nx(d) - d."""
+    return [min(k for k in dims if k >= d) - d for d in range(max(dims) + 1)]
+
+
+def _walk_size(n: int, p: int, dims) -> int:
+    """Nodes the walk visits: the d-subspaces of F_p^n whose pivots are all
+    at least floors[d], which span F_p^(n - floors[d]), for each depth d."""
+    return sum(gauss_int(d, n - f, p) for d, f in enumerate(_floors(dims)))
+
+
+def _walk(rep: MatrixRep, dims) -> list[dict[int, int]]:
+    """For each depth d up to max(dims), the d-subspaces U2 of F_p^dim2 the
+    walk visits, keyed by w = dim(alpha U2 + beta U2).  A requested depth
+    gets every d-subspace.
+
+    A node at depth d is given by its bottom d RREF rows.  A child adds a
+    top row whose pivot c lies below every pivot so far; its free entries
+    are the columns above c that are not pivots, and ``offsets`` holds
+    every filling of them.  The parent of a subspace is the span of its
+    rows without the top one, so the walk meets each subspace once.  The
+    echelon of a node's images is its parent's with the child's two new
+    images reduced into it.
+    """
+    p, n, full = rep.p, rep.dim2, rep.dim1
+    floors = _floors(dims)
+    last = len(floors) - 1
+    place = [p**j for j in range(n)]
+    ta, tb = _image_tables(rep)
+    echelon: list = []
+    if p == 2:
+
+        def grow(r: int) -> None:
+            for v in (ta[r], tb[r]):
+                for b in echelon:
+                    # clears b's top bit from v; each kept vector has a
+                    # top bit that the vectors kept after it lack
+                    v = min(v, v ^ b)
+                if v:
+                    echelon.append(v)
+
+    else:
+
+        def grow(r: int) -> None:
+            s = r * full
+            _add(echelon, ta[s : s + full], p)
+            _add(echelon, tb[s : s + full], p)
+
+    hists: list[dict[int, int]] = [{0: 1}] + [{} for _ in floors[1:]]
+
+    def visit(depth: int, top: int, offsets: list[int]) -> None:
+        # counts the children of a node and walks on from those that have
+        # children of their own
+        w = len(echelon)
+        hist = hists[depth + 1]
+        low, deeper = floors[depth + 1], depth + 1 < last
+        for c in range(top - 1, low - 1, -1):
+            if c < top - 1:
+                offsets = [o + x * place[c + 1] for x in range(p) for o in offsets]
+            grandchildren = deeper and c > floors[depth + 2]
+            for o in offsets:
+                if w < full:
+                    grow(o + place[c])
+                k = len(echelon)
+                hist[k] = hist.get(k, 0) + 1
+                if grandchildren:
+                    visit(depth + 1, c, offsets)
+                del echelon[w:]
+
+    if last:
+        visit(0, n, [0])
+    return hists
+
+
 def _rank_histograms(rep: MatrixRep, dims) -> list[dict[int, int]]:
     """For each vertex-2 dimension b in ``dims``, the number of b-subspaces
     U2 of F_p^dim2 keyed by w = dim(alpha U2 + beta U2).
 
     Refuses, before any enumeration, a call whose work exceeds
-    ``_MAX_SUBSPACES``: the p^dim2 entries of the image table plus the
-    subspaces of the requested dimensions.
+    ``_MAX_SUBSPACES``: the p^dim2 entries of the image tables plus the
+    nodes the walk visits.
     """
     p = rep.p
-    work = p**rep.dim2 + sum(gauss_int(k, rep.dim2, p) for k in dims)
+    work = p**rep.dim2 + _walk_size(rep.dim2, p, dims)
     if work > _MAX_SUBSPACES:
         raise ValueError(
             f"the oracle would walk {work} vectors and subspaces of "
             f"F_{p}^{rep.dim2}; its bound is {_MAX_SUBSPACES}"
         )
-    # alpha and beta images of every vertex-2 vector, built one coordinate
-    # at a time; an RREF basis row is looked up by its tuple
-    zero = (0,) * rep.dim1
-    images = {(): (zero, zero)}
-    for j in range(rep.dim2):
-        col_a = [row[j] for row in rep.alpha]
-        col_b = [row[j] for row in rep.beta]
-        images = {
-            vec + (x,): (
-                tuple((s + x * c) % p for s, c in zip(img_a, col_a)),
-                tuple((s + x * c) % p for s, c in zip(img_b, col_b)),
-            )
-            for vec, (img_a, img_b) in images.items()
-            for x in range(p)
-        }
-    if p == 2:
-        # pack each image into a bitmask
-        images = {
-            vec: tuple(sum(x << i for i, x in enumerate(img)) for img in pair)
-            for vec, pair in images.items()
-        }
-    out = []
-    for b in dims:
-        hist: dict[int, int] = {}
-        for basis in _subspace_bases(rep.dim2, b, p):
-            vecs = [img for row in basis for img in images[row]]
-            w = _rank_f2(vecs) if p == 2 else _rank(vecs, p)
-            hist[w] = hist.get(w, 0) + 1
-        out.append(hist)
-    return out
+    hists = _walk(rep, dims)
+    return [hists[b] for b in dims]
 
 
 def _cell(rep: MatrixRep, hist: dict[int, int], a: int) -> int:
@@ -394,10 +474,11 @@ def count_submodules_naive(rep: MatrixRep, a: int, b: int) -> int:
     if a < 0 or b < 0 or a > rep.dim1 or b > rep.dim2:
         return 0
     total = 0
+    u1s = _subspace_bases(rep.dim1, a, rep.p)
     for u2 in _subspace_bases(rep.dim2, b, rep.p):
         images = [_matvec(rep.alpha, v, rep.p) for v in u2]
         images += [_matvec(rep.beta, v, rep.p) for v in u2]
-        for u1 in _subspace_bases(rep.dim1, a, rep.p):
+        for u1 in u1s:
             if all(_in_span(img, u1, rep.p) for img in images):
                 total += 1
     return total

@@ -164,7 +164,7 @@ def test_verify_single_cell(capsys):
 
 def test_verify_single_cell_enumerates_only_its_cell(capsys):
     # the whole table of P8 over F_2 walks 417,199 subspaces; one cell
-    # with b = 1 walks 255
+    # with b = 1 walks the 255 lines and the zero subspace
     started = time.perf_counter()
     code, out, err = run(
         capsys, "verify", "-m", "P8", "-p", "2", "-d", "1,1", "--format", "json"

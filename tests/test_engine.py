@@ -226,19 +226,45 @@ def _dual(m: KroneckerDescriptor) -> KroneckerDescriptor:
     return KroneckerDescriptor(m.preinjective, m.preprojective, m.regular)
 
 
-def _random_modules(st, max_dim: int):
-    """Sums of P0-P2, I0-I2 and tube summands at a degree-1 and a degree-2
-    point, with total dimension at most max_dim."""
-    summands = st.dictionaries(st.integers(0, 2), st.integers(1, 2), max_size=2)
-    parts = st.lists(st.integers(1, 3), max_size=2).map(
-        lambda ps: Partition(tuple(sorted(ps, reverse=True)))
-    )
-    return st.builds(
-        lambda pp, pi, deg1, deg2: KroneckerDescriptor.build(
-            pp, pi, [("p", 1, deg1), ("r", 2, deg2)]
-        ),
-        summands, summands, parts, parts,
-    ).filter(lambda m: sum(m.dim_vector()) <= max_dim)
+def _random_modules(st, max_dim: int, points=(("p", 1), ("r", 2))):
+    """Sums of P0-P2 and I0-I2 (multiplicity 1 or 2) and of tubes with up to
+    two parts of size 1-3 at the given (label, degree) points, with total
+    dimension at most max_dim.  Each summand is drawn within what is left of
+    the bound, so no draw is thrown away."""
+
+    @st.composite
+    def modules(draw):
+        left = max_dim
+
+        def take(unit: int, most: int) -> int:
+            # k in 1..most with k * unit within what is left
+            nonlocal left
+            k = draw(st.integers(1, min(most, left // unit)))
+            left -= k * unit
+            return k
+
+        def summands():
+            out = {}
+            for n in draw(st.lists(st.integers(0, 2), unique=True, max_size=2)):
+                if left >= 2 * n + 1:
+                    out[n] = take(2 * n + 1, 2)
+            return out
+
+        def tube(degree):
+            parts = []
+            for _ in range(draw(st.integers(0, 2))):
+                if left >= 2 * degree:
+                    parts.append(take(2 * degree, 3))
+            return Partition(tuple(sorted(parts, reverse=True)))
+
+        # the kinds take their share of the bound in a random order
+        drawn = {}
+        for key in draw(st.permutations(["P", "I", *points])):
+            drawn[key] = summands() if key in ("P", "I") else tube(key[1])
+        tubes = [(label, degree, drawn[label, degree]) for label, degree in points]
+        return KroneckerDescriptor.build(drawn["P"], drawn["I"], tubes)
+
+    return modules()
 
 
 def _cells(m: KroneckerDescriptor):
@@ -269,6 +295,23 @@ def test_duality_on_random_modules():
             table = submodule_table(build_rep(m, 2))
             for a, b in cells:
                 assert engines[0].count(m, a, b).eval_integer(2) == table[a, b], (m, a, b)
+
+    check()
+
+
+def test_engine_matches_the_oracle_over_f3_with_several_points():
+    # three degree-1 points and one degree-2 point; total dimension 9 keeps
+    # the vertex-2 dimension at most 6
+    hyp = pytest.importorskip("hypothesis")
+    points = (("p", 1), ("q", 1), ("s", 1), ("r", 2))
+    engine = CountingEngine()
+
+    @hyp.settings(max_examples=40, deadline=None, database=None)
+    @hyp.given(_random_modules(hyp.strategies, 9, points))
+    def check(m):
+        table = submodule_table(build_rep(m, 3))
+        for a, b in _cells(m):
+            assert engine.count(m, a, b).eval_integer(3) == table[a, b], (m, a, b)
 
     check()
 

@@ -108,6 +108,40 @@ def test_eval_error_signals():
         LaurentPoly.monomial(-1).eval_integer(2)
 
 
+def test_eval_integer_with_negative_exponents():
+    # 1 + 3q^-1 + 2q^-2 = (q + 1)(q + 2) / q^2
+    p = parse_poly("1 + 3*q^-1 + 2*q^-2")
+    assert p.eval_integer(1) == 6
+    assert p.eval_integer(2) == 3
+    assert p.eval_integer(-1) == p.eval_integer(-2) == 0
+    with pytest.raises(ValueError, match="value 20/9 at q=3"):
+        p.eval_integer(3)
+    # q^-1 (q^2 - 4) = q - 4 q^-1 is whole at q = 4 and -2, not at q = 3
+    p = parse_poly("q - 4*q^-1")
+    assert p.eval_integer(4) == 3
+    assert p.eval_integer(-2) == 0
+    with pytest.raises(ValueError):
+        p.eval_integer(3)
+    with pytest.raises(ZeroDivisionError):
+        p.eval_integer(0)
+    assert parse_poly("q^2 + 5").eval_integer(0) == 5
+    assert ZERO.eval_integer(7) == 0
+
+
+def test_eval_integer_matches_eval_at():
+    rng = random.Random(3)
+    for _ in range(300):
+        lo = rng.randrange(-4, 4)
+        p = LaurentPoly.dense(lo, [rng.randrange(-9, 10) for _ in range(rng.randrange(6))])
+        for q0 in (-3, -1, 1, 2, 5):
+            val = p.eval_at(q0)
+            if val.denominator == 1:
+                assert p.eval_integer(q0) == val
+            else:
+                with pytest.raises(ValueError):
+                    p.eval_integer(q0)
+
+
 def test_divexact():
     num = parse_poly("q^4 - 1")
     assert num.divexact(parse_poly("q - 1")) == parse_poly("q^3 + q^2 + q + 1")

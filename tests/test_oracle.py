@@ -10,6 +10,9 @@ from kronq.oracle import (
     enumerate_subspaces,
     hom_dim_numeric,
     submodule_table,
+    _MAX_SUBSPACES,
+    _walk,
+    _walk_size,
 )
 from kronq.qbinom import gauss_int
 
@@ -130,15 +133,16 @@ def test_mismatched_primes_rejected():
 
 def _given_reps(check):
     """Run ``check`` on arbitrary MatrixReps (random alpha and beta, not
-    block-diagonal models) over F_2 and F_3 with dim1 <= 4, dim2 <= 3."""
+    block-diagonal models) over F_2, F_3 and F_5 with dim2 <= 4 and dim1 at
+    most 4, 3 and 2, which keeps the naive count cheap."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
     @st.composite
     def reps(draw):
-        p = draw(st.sampled_from((2, 3)))
-        dim1 = draw(st.integers(0, 4))
-        dim2 = draw(st.integers(0, 3))
+        p = draw(st.sampled_from((2, 3, 5)))
+        dim1 = draw(st.integers(0, {2: 4, 3: 3, 5: 2}[p]))
+        dim2 = draw(st.integers(0, 4))
 
         def matrix():
             entry = st.integers(0, p - 1)
@@ -163,3 +167,18 @@ def test_random_nonzero_rep_has_an_endomorphism():
             assert hom_dim_numeric(rep, rep) >= 1
 
     _given_reps(check)
+
+
+def test_walk_visits_exactly_the_nodes_the_bound_counts():
+    # one cell b walks the d-subspaces with top pivot >= b - d, a whole
+    # table every subspace; cases over the oracle's bound are never walked
+    for p in (2, 3, 5):
+        for n in range(7):
+            for dims in [range(n + 1)] + [(b,) for b in range(n + 1)]:
+                size = _walk_size(n, p, dims)
+                if p**n + size > _MAX_SUBSPACES:
+                    continue
+                hists = _walk(MatrixRep(p, 0, n, (), ()), dims)
+                assert sum(sum(h.values()) for h in hists) == size, (p, n, dims)
+                for b in dims:
+                    assert sum(hists[b].values()) == gauss_int(b, n, p), (p, n, dims)
