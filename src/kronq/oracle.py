@@ -325,7 +325,7 @@ def _image_tables(rep: MatrixRep) -> tuple:
                 table += [v ^ mask for v in table]
         else:
             code = "B" if p < 256 else "L"
-            table = array(code, bytes(k))
+            table = array(code, [0]) * k
             for j, col in enumerate(cols):
                 col = col * p**j  # one copy per vector so far
                 table += array(

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kronq.model import parse_module
@@ -11,6 +13,8 @@ from kronq.oracle import (
     hom_dim_numeric,
     submodule_table,
     _MAX_SUBSPACES,
+    _image_tables,
+    _matvec,
     _walk,
     _walk_size,
 )
@@ -133,15 +137,15 @@ def test_mismatched_primes_rejected():
 
 def _given_reps(check):
     """Run ``check`` on arbitrary MatrixReps (random alpha and beta, not
-    block-diagonal models) over F_2, F_3 and F_5 with dim2 <= 4 and dim1 at
-    most 4, 3 and 2, which keeps the naive count cheap."""
+    block-diagonal models) over F_2, F_3 and F_5 with dim2 <= 4, and dim1 <= 4
+    over F_2 and F_3 but <= 2 over F_5, which keeps the naive count cheap."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
     @st.composite
     def reps(draw):
         p = draw(st.sampled_from((2, 3, 5)))
-        dim1 = draw(st.integers(0, {2: 4, 3: 3, 5: 2}[p]))
+        dim1 = draw(st.integers(0, 2 if p == 5 else 4))
         dim2 = draw(st.integers(0, 4))
 
         def matrix():
@@ -182,3 +186,22 @@ def test_walk_visits_exactly_the_nodes_the_bound_counts():
                 assert sum(sum(h.values()) for h in hists) == size, (p, n, dims)
                 for b in dims:
                     assert sum(hists[b].values()) == gauss_int(b, n, p), (p, n, dims)
+
+
+def test_primes_above_a_byte():
+    # residues mod p >= 256 are stored as machine words, and dim1 = 8 fills
+    # one word exactly
+    p = 257
+    rng = random.Random(p)
+    for dim1 in (1, 3, 8, 9):
+        rows = lambda: tuple(tuple(rng.randrange(p) for _ in range(2)) for _ in range(dim1))
+        rep = MatrixRep(p, dim1, 2, rows(), rows())
+        for table, mat in zip(_image_tables(rep), (rep.alpha, rep.beta)):
+            assert len(table) == dim1 * p**2
+            for r in rng.sample(range(p**2), 40):
+                image = tuple(table[r * dim1 : (r + 1) * dim1])
+                assert image == _matvec(mat, (r % p, r // p), p), (dim1, r)
+    for text in ("P1", "I1"):
+        rep = build_rep(parse_module(text), p)
+        for (a, b), cell in submodule_table(rep).items():
+            assert cell == count_submodules_naive(rep, a, b), (text, a, b)
