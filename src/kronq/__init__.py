@@ -33,7 +33,6 @@ from .model import (
     preinjective,
     preprojective,
     regular,
-    zero_module,
 )
 from .oracle import (
     MatrixRep,

@@ -3,14 +3,27 @@
 The dispatcher reduces a count to closed forms and diagonal regular counts:
 
   1. dimension guards (0 outside the box, 1 at the corners);
-  2. two proven vanishing rules answer 0 before the memo is consulted, so
-     a cell known to be empty is never dispatched, checked or stored:
-     a module with no preinjective summand has only submodules with
-     a >= b, since Hom(I, P + R) = 0 (the defect rule); and for a rigid
-     module (Ext^1(M, M) = 0) of dimension alpha the quiver Grassmannian
-     Gr_e(M) is empty or smooth of dimension <e, alpha - e> (Caldero,
-     Reineke, J. Pure Appl. Algebra 212, 2008), so the count of
-     e = (a, b) vanishes when that Euler form is negative (the rigid rule);
+  2. three proven vanishing rules decide a cell before the memo is
+     consulted, so the module's record never dispatches or stores it.
+     Write M = M_P + M_R + M_I for the preprojective, regular and
+     preinjective parts, t for the number of summands of M_I (with
+     multiplicity) and a_I for its vertex-1 dimension.  The defect-bound
+     rules: count(M, a, b) = 0 when b - a > t, and when b - a = t it is
+     count(M_R, a - a_I, a - a_I), a diagonal regular count (1 at a = a_I
+     and 0 elsewhere when M_R = 0).  Proof: for a submodule
+     U = U_P + U_R + U_I, Hom(I, P + R) = 0 puts U_I inside M_I.  The
+     defect b - a adds over summands (-1 per P, 0 per R, +1 per I), and
+     M_I/U_I is preinjective, of defect >= 0 with equality only when it
+     is 0; so b - a = #U_I - #U_P <= t, and equality forces U_P = 0 and
+     U to contain M_I.  Then U/M_I has defect 0 inside M_P + M_R, so it is
+     regular, and Hom(R, P) = 0 puts it inside M_R (Ringel, Tame algebras
+     and integral quadratic forms, LNM 1099, 1984; Simson, Skowronski,
+     Elements II).  The second rule would map a regular-only module to
+     itself, so its diagonal goes on to step 6.  The rigid rule: for a
+     rigid module (Ext^1(M, M) = 0) of dimension alpha the quiver
+     Grassmannian Gr_e(M) is empty or smooth of dimension <e, alpha - e>
+     (Caldero, Reineke, J. Pure Appl. Algebra 212, 2008), so the count of
+     e = (a, b) vanishes when that Euler form is negative;
   3. a single indecomposable with a closed form is answered directly;
   4. any preprojective summand: reflect away from the projective side,
      which strictly lowers the largest preprojective index;
@@ -20,9 +33,9 @@ The dispatcher reduces a count to closed forms and diagonal regular counts:
      submodules of dimension (a, b) with those of D(M) of dimension
      (n - b, m - a); D(M) has a preprojective summand, so it takes step 4,
      and its memo is the only one that stores these values;
-  6. otherwise the module is regular: counts below the diagonal vanish by
-     the defect rule, above it the same reflection lowers a, and on the
-     diagonal the count factorizes over the tubes, each point
+  6. otherwise the module is regular: counts with b > a vanish by the
+     first defect-bound rule, for a > b the same reflection lowers a, and
+     on the diagonal the count factorizes over the tubes, each point
      contributing its subgroup counts by order (Birkhoff's product, see
      :mod:`kronq.hall`).
 
@@ -38,9 +51,9 @@ A deep count visits at most a few hundred descriptors, hundreds of
 thousands of times, so the engine derives what it needs from a descriptor
 once: each distinct descriptor (up to point labels) gets one
 :class:`_Record` holding its dimension pair, its closed-form counter, its
-reflected and dual descriptors and the memo of its values.  The recursion
-then works on records only.  A record names its reflected and dual records
-by their position in the engine's record list, not by reference: a
+reflected, dual and regular-part descriptors and the memo of its values.
+The recursion then works on records only.  A record names those records by
+their position in the engine's record list, not by reference: a
 regular-only module reflects to itself, and a record pointing at itself
 would keep a dropped engine's memo alive until the cyclic garbage collector
 runs.
@@ -75,22 +88,36 @@ class _Record:
     count of the module.  ``via_dual`` is set when the module has
     preinjective but no preprojective summands and no closed form: every
     count is then read from the dual module's record.  ``down_a`` is the
-    position of the plus-reflected record of recursion_a and ``dual`` that
-    of the dual module's record; both are filled in on first use.
-    ``memo`` maps (a, b) to a count, or is None when memoization is off or
-    the record answers through its dual.  ``no_preinjective`` and
-    ``rigid`` switch on the defect and rigid vanishing rules.
+    position of the plus-reflected record of recursion_a, ``dual`` that of
+    the dual module's record and ``regular`` that of the record of the
+    regular part M_R; all three are filled in on first use.  ``memo`` maps
+    (a, b) to a count, or is None when memoization is off or the record
+    answers through its dual.
+
+    ``t`` (the number of preinjective summands, with multiplicity) and
+    ``a_i`` (their vertex-1 dimension) fix the defect-bound rules.  Each
+    preinjective summand adds 1 to the defect b - a and each preprojective
+    one takes 1 away, a submodule's preinjective part lies in M_I, and a
+    quotient of M_I has defect >= 0, with equality only when it is 0; so
+    no submodule has b - a > t.  One with b - a = t contains M_I and,
+    since Hom(R, P) = 0, is M_I plus a submodule of M_R of dimension
+    (a - a_i, a - a_i).  ``regular_only`` turns that second rule off,
+    since it would map M = M_R to itself.  ``rigid`` switches on the
+    rigid rule.
     """
 
     def __init__(self, module: KroneckerDescriptor, closed, memoize: bool):
         self.module = module
         self.m, self.n = module.dim_vector()
-        self.no_preinjective = not module.preinjective
+        self.t = sum(k for _, k in module.preinjective)
+        self.a_i = sum(n * k for n, k in module.preinjective)
+        self.regular_only = module.is_regular_only
         self.rigid = ext_dim(module, module) == 0
         self.closed = closed
         self.via_dual = closed is None and bool(module.preinjective) and not module.preprojective
         self.down_a: int | None = None
         self.dual: int | None = None
+        self.regular: int | None = None
         self.memo = {} if memoize and not self.via_dual else None
 
 
@@ -176,6 +203,11 @@ class CountingEngine:
             rec.dual = self._position(KroneckerDescriptor(m.preinjective, m.preprojective, m.regular))
         return self._records[rec.dual]
 
+    def _regular(self, rec: _Record) -> _Record:
+        if rec.regular is None:
+            rec.regular = self._position(KroneckerDescriptor((), (), rec.module.regular))
+        return self._records[rec.regular]
+
     # -- counting ----------------------------------------------------------
 
     def _count(self, rec: _Record, a: int, b: int) -> LaurentPoly:
@@ -183,8 +215,11 @@ class CountingEngine:
             return ZERO
         if (a == 0 and b == 0) or (a == rec.m and b == rec.n):
             return ONE
-        if rec.no_preinjective and a < b:
+        excess = b - a - rec.t
+        if excess > 0:
             return ZERO
+        if excess == 0 and not rec.regular_only:
+            return self._count(self._regular(rec), a - rec.a_i, a - rec.a_i)
         if rec.rigid and a * (rec.m - a) + b * (rec.n - b) - 2 * b * (rec.m - a) < 0:
             return ZERO  # <e, alpha - e> < 0
         memo = rec.memo

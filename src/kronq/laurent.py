@@ -124,11 +124,6 @@ class LaurentPoly:
         return not self.cs
 
     @property
-    def min_exponent(self) -> int:
-        """Smallest exponent with nonzero coefficient; 0 for the zero poly."""
-        return self.lo
-
-    @property
     def max_exponent(self) -> int:
         return self.lo + len(self.cs) - 1 if self.cs else 0
 

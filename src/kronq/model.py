@@ -33,7 +33,6 @@ __all__ = [
     "preprojective",
     "preinjective",
     "regular",
-    "zero_module",
     "hom_dim",
     "ext_dim",
     "euler_form",
@@ -334,10 +333,6 @@ class KroneckerDescriptor:
         for n, m in self.preinjective:
             chunks.append(f"I{n}" if m == 1 else f"{m}*I{n}")
         return " + ".join(chunks)
-
-
-def zero_module() -> KroneckerDescriptor:
-    return KroneckerDescriptor()
 
 
 def preprojective(n: int, mult: int = 1) -> KroneckerDescriptor:

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import jsonschema
 
-from kronq.cli import _points_of_degree, main
+import kronq.cli as cli
+from kronq.cli import _points_of_degree, build_parser, main
 from kronq.laurent import parse_poly
 from kronq.oracle import _monic_irreducibles
 
@@ -325,3 +326,38 @@ def test_failed_polynomial_check_exit_1(capsys, monkeypatch):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "count(P3, 2, 1)" in err
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(None)
+        return build_parser()
+
+    def outcome(*argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    calls = [
+        ("count", "-m", "P3", "-d", "2,1", "--at", "4"),
+        ("count", "-m", "P3"),
+        ("table", "-m", "P1 + I0", "--format", "csv"),
+        ("count", "-m", "P3", "-d", "x"),
+        ("homext", "-x", "P1", "-y", "I0", "--format", "json"),
+    ]
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = [outcome(*argv) for argv in calls]
+    assert len(built) == 1
+    # a fresh parser per call answers byte for byte the same
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(outcome(*argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0]

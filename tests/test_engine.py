@@ -9,6 +9,7 @@ from kronq.closed_form import (
     count_preinjective,
     count_preprojective,
     count_regular_deg1,
+    euler_char_formula,
 )
 from kronq.engine import CountingEngine, count, recursion_a, recursion_b
 from kronq.laurent import ONE, ZERO, parse_poly
@@ -16,11 +17,16 @@ from kronq.model import (
     DimVector,
     KroneckerDescriptor,
     Partition,
+    Preinjective,
+    Preprojective,
     euler_form,
     ext_dim,
     parse_module,
+    preinjective,
+    preprojective,
+    regular,
 )
-from kronq.oracle import build_rep, submodule_table
+from kronq.oracle import build_rep, count_submodules, submodule_table
 
 
 def test_guards_and_corners():
@@ -397,3 +403,130 @@ def test_deep_rigid_count_memoizes_only_its_nonzero_cells():
     # one nonzero cell per reflection step; the vanishing rules answer the
     # other cells before the memo
     assert sum(len(rec.memo) for rec in engine._records if rec.memo is not None) <= 200
+
+
+def _defect_bound(m: KroneckerDescriptor) -> int:
+    """t, the number of preinjective summands with multiplicity: no
+    submodule has b - a > t, and one with b - a = t contains M_I."""
+    return sum(k for _, k in m.preinjective)
+
+
+def _extra_preinjectives(hyp, max_dim: int):
+    """A sum of I0-I2 of total dimension at most max_dim, or 0: added to a
+    random module, it makes most draws have t > 0."""
+    choices = ["0", "I0", "2*I0", "I1", "I0 + I1", "3*I0", "I2"]
+    return hyp.strategies.sampled_from(
+        [m for m in map(parse_module, choices) if sum(m.dim_vector()) <= max_dim]
+    )
+
+
+def test_defect_bound_rules_against_the_oracle():
+    # two degree-1 points and one degree-2 point are realisable over F_2
+    hyp = pytest.importorskip("hypothesis")
+    points = (("p", 1), ("s", 1), ("r", 2))
+    engine = CountingEngine()
+
+    @hyp.settings(max_examples=60, deadline=None, database=None)
+    @hyp.given(_random_modules(hyp.strategies, 5, points), _extra_preinjectives(hyp, 3))
+    @hyp.example(parse_module("P0 + R(p,[2]) + R(r@2,[1])"), parse_module("I0"))
+    @hyp.example(parse_module("P1 + R(p,[1,1])"), parse_module("2*I0"))
+    def check(m, extra):
+        m = m + extra
+        t = _defect_bound(m)
+        for p in (2, 3):
+            rep = build_rep(m, p)
+            for a, b in _cells(m):
+                if b - a >= t:
+                    want = count_submodules(rep, a, b)
+                    assert engine.count(m, a, b).eval_integer(p) == want, (m, p, a, b)
+
+    check()
+
+
+def test_defect_bound_rules_against_the_summands_at_q1():
+    # at q = 1 a count of M is the convolution of its summands' counts
+    hyp = pytest.importorskip("hypothesis")
+    engine = CountingEngine()
+
+    def summand(s) -> KroneckerDescriptor:
+        if isinstance(s, Preprojective):
+            return preprojective(s.n)
+        if isinstance(s, Preinjective):
+            return preinjective(s.n)
+        return regular(s.length, s.point, s.degree)
+
+    @hyp.settings(max_examples=60, deadline=None, database=None)
+    @hyp.given(_random_modules(hyp.strategies, 11), _extra_preinjectives(hyp, 5))
+    @hyp.example(parse_module("P2 + R(p,[2,1]) + R(r@2,[1])"), parse_module("2*I1"))
+    def check(m, extra):
+        m = m + extra
+        convolved = Counter({(0, 0): 1})
+        for s in map(summand, m.summands()):
+            ones = {e: engine.count(s, *e).eval_integer(1) for e in _cells(s)}
+            step = Counter()
+            for (a, b), v in convolved.items():
+                for (f, g), w in ones.items():
+                    step[a + f, b + g] += v * w
+            convolved = step
+        t = _defect_bound(m)
+        for a, b in _cells(m):
+            if b - a >= t:
+                assert engine.count(m, a, b).eval_integer(1) == convolved[a, b], (m, a, b)
+
+    check()
+
+
+def test_preinjective_count_memoizes_no_zero_cell():
+    for text, a, b in (("P19 + I3", 14, 10), ("P60 + I2", 40, 35)):
+        engine = CountingEngine()
+        m = parse_module(text)
+        n, k = m.preprojective[0][0], m.preinjective[0][0]
+        # at q = 1 the count is the convolution of the two closed forms
+        euler = sum(
+            euler_char_formula("preprojective", n, a - f, b - g)
+            * euler_char_formula("preinjective", k, f, g)
+            for f in range(k + 1)
+            for g in range(k + 2)
+        )
+        assert engine.count(m, a, b).eval_integer(1) == euler > 0
+        # the defect-bound and rigid rules answer every zero cell before
+        # the memo
+        values = [v for rec in engine._records if rec.memo is not None for v in rec.memo.values()]
+        assert len(values) <= 3000, text
+        assert not any(v.is_zero for v in values), text
+
+
+def test_memo_off_gives_the_same_cells_on_random_modules():
+    hyp = pytest.importorskip("hypothesis")
+    cached = CountingEngine()
+
+    @hyp.settings(max_examples=40, deadline=None, database=None)
+    @hyp.given(_random_modules(hyp.strategies, 12))
+    def check(m):
+        uncached = CountingEngine(memoize=False)
+        for a, b in _cells(m):
+            assert uncached.count(m, a, b) == cached.count(m, a, b), (m, a, b)
+
+    check()
+
+
+def test_relabelled_points_give_the_same_counts():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    points = (("p", 1), ("s", 1), ("r", 2))
+
+    @hyp.settings(max_examples=40, deadline=None, database=None)
+    @hyp.given(_random_modules(st, 12, points), st.permutations(["a", "m", "z"]))
+    def check(m, labels):
+        new = dict(zip([label for label, _ in points], labels))
+        relabelled = KroneckerDescriptor.build(
+            dict(m.preprojective),
+            dict(m.preinjective),
+            [(new[label], degree, part) for label, degree, part in m.regular],
+        )
+        # a fresh engine, so the relabelled descriptor is the one counted
+        fresh = CountingEngine()
+        for a, b in _cells(m):
+            assert fresh.count(relabelled, a, b) == count(m, a, b), (m, labels, a, b)
+
+    check()
