@@ -30,7 +30,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from .engine import CountingEngine
 from .hall import hall_polynomial
@@ -144,9 +143,8 @@ def cmd_count(args) -> int:
     fields = ["module", "a", "b", "polynomial"]
     status = EXIT_OK
     if args.at is not None:
-        value = poly.eval_at(Fraction(args.at))
         record["at"] = args.at
-        record["value"] = str(value) if value.denominator != 1 else value.numerator
+        record["value"] = poly.eval_integer(args.at)
         fields += ["at", "value"]
         if not _is_prime_power(args.at):
             print(

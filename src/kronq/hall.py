@@ -16,19 +16,21 @@ Symmetric Functions and Hall Polynomials, ch. II):
                                      * gauss(mu'_i - mu'_{i+1}, lam'_i - mu'_{i+1})
 
 The single polynomial g, which only ``hall_polynomial`` (the ``kronq hall``
-command) needs, is a coefficient of u_nu * u_mu in the Hall algebra.  A
-product with one elementary factor e_r has a closed coefficient (the
-Pieri rule; Macdonald, ch. II (4.6)):
+command) needs, is the coefficient of u_lam in u_nu * u_mu in the Hall
+algebra, and only that coefficient is computed.  For kappa inside lam with
+lam/kappa a vertical r-strip, the Pieri rule (Macdonald, ch. II (4.6)) gives
 
-    u_sigma * e_r = sum over lam with lam/sigma a vertical r-strip of
-        x^(n(lam) - n(sigma) - r(r-1)/2 - sum_i k_i (n_i - k_i)) * prod_i gauss(k_i, n_i)
+    [u_lam] u_kappa * e_r = x^(n(lam) - n(kappa) - r(r-1)/2 - sum_i k_i (n_i - k_i))
+                            * prod_i gauss(k_i, n_i)
 
-with n_i = lam'_i - lam'_{i+1}, k_i = lam'_i - sigma'_i and
-n(lam) = sum_i (i - 1) lam_i.  Applying it once per column of rho gives
-u_nu * E_rho, where E_rho is the product of e over the columns of rho.
-Since E_mu = u_mu + (terms strictly below mu in dominance order),
+with n_i = lam'_i - lam'_{i+1}, k_i = lam'_i - kappa'_i and
+n(lam) = sum_i (i - 1) lam_i.  With E_rho the product of e over the columns
+of rho, [u_lam] u_nu * E_rho is the sum over such kappa of that coefficient
+times [u_kappa] u_nu * E_rho', rho' being rho without its last column (of
+length r).  Since E_mu = u_mu + (terms strictly below mu in dominance order),
 
-    u_nu * u_mu = u_nu * E_mu - sum over sigma < mu of [u_sigma]E_mu * u_nu * u_sigma,
+    g(lam; nu, mu) = [u_lam] u_nu * E_mu - sum over sigma < mu inside lam of
+                     [u_sigma]E_mu * g(lam; nu, sigma),
 
 a recursion that descends in dominance order and so terminates.  Everything
 stays in Z[x].  The test suite checks g against Birkhoff's sum and against
@@ -38,7 +40,6 @@ exhaustive subgroup enumeration at small primes.
 from __future__ import annotations
 
 from functools import cache
-from itertools import groupby, product
 
 from .laurent import ONE, ZERO, LaurentPoly
 from .model import KroneckerDescriptor, Partition, conjugate_parts, contains_parts
@@ -78,18 +79,6 @@ def subpartitions(lam: Part) -> tuple[Part, ...]:
     return tuple(out)
 
 
-def _vertical_strips(sigma: Part, r: int):
-    """Partitions lam containing sigma with lam/sigma a vertical strip of
-    size r, i.e. at most one added box per row.  Within each run of equal
-    rows of sigma (the r empty rows below it included), the added boxes go
-    to the top k rows of the run."""
-    runs = [(part, len(list(rows))) for part, rows in groupby(sigma + (0,) * r)]
-    for ks in product(*(range(n + 1) for _, n in runs)):
-        if sum(ks) == r:
-            lam = [x for (part, n), k in zip(runs, ks) for x in [part + 1] * k + [part] * (n - k)]
-            yield tuple(x for x in lam if x)
-
-
 @cache
 def _pieri_coeff(lam: Part, sigma: Part, r: int) -> LaurentPoly:
     """Coefficient of u_lam in u_sigma * e_r: the number of elementary
@@ -124,34 +113,46 @@ def _dominates(lam: Part, mu: Part) -> bool:
 
 
 @cache
-def _times_e(nu: Part, rho: Part) -> tuple[tuple[Part, LaurentPoly], ...]:
-    """u_nu * E_rho in the u basis: the Pieri rule once per column of rho."""
-    state = {nu: ONE}
-    for r in conjugate_parts(rho):
-        out: dict[Part, LaurentPoly] = {}
-        for sigma, c in state.items():
-            for lam in _vertical_strips(sigma, r):
-                term = c * _pieri_coeff(lam, sigma, r)
-                if not term.is_zero:
-                    out[lam] = out[lam] + term if lam in out else term
-        state = out
-    return tuple(sorted((k, v) for k, v in state.items() if not v.is_zero))
+def _by_weight(lam: Part) -> dict[int, tuple[Part, ...]]:
+    """The partitions inside lam, grouped by weight."""
+    out: dict[int, list[Part]] = {}
+    for sigma in subpartitions(lam):
+        out.setdefault(sum(sigma), []).append(sigma)
+    return {w: tuple(group) for w, group in out.items()}
 
 
 @cache
-def _u_product(nu: Part, mu: Part) -> tuple[tuple[Part, LaurentPoly], ...]:
-    """Expansion of u_nu * u_mu in the u basis."""
-    total = dict(_times_e(nu, mu))
-    for sigma, coeff in _times_e((), mu):
+def _times_e(lam: Part, nu: Part, cols: Part) -> LaurentPoly:
+    """[u_lam] u_nu * E_rho, where cols are the column lengths of rho: the
+    Pieri rule on the last column."""
+    if not cols:
+        return ONE if lam == nu else ZERO
+    r = cols[-1]
+    out = ZERO
+    for kappa in _by_weight(lam).get(sum(lam) - r, ()):
+        if contains_parts(kappa, nu) and all(
+            l - k <= 1 for l, k in zip(lam, kappa + (0,) * r)
+        ):
+            out += _pieri_coeff(lam, kappa, r) * _times_e(kappa, nu, cols[:-1])
+    return out
+
+
+@cache
+def _hall(lam: Part, nu: Part, mu: Part) -> LaurentPoly:
+    """g(lam; nu, mu) by the dominance recursion (module docstring); nu and
+    mu must fit inside lam with |lam| = |nu| + |mu|."""
+    cols = conjugate_parts(mu)
+    out = _times_e(lam, nu, cols)
+    for sigma in _by_weight(lam)[sum(mu)]:
+        coeff = _times_e(sigma, (), cols)
         if sigma == mu:
             if coeff != ONE:
                 raise AssertionError(f"expected unit diagonal at {mu}, got {coeff}")
-            continue
-        if not _dominates(mu, sigma):
-            raise AssertionError(f"{sigma} not dominated by {mu}")
-        for lam, c in _u_product(nu, sigma):
-            total[lam] = total.get(lam, ZERO) - coeff * c
-    return tuple(sorted((k, v) for k, v in total.items() if not v.is_zero))
+        elif not coeff.is_zero:
+            if not _dominates(mu, sigma):
+                raise AssertionError(f"{sigma} not dominated by {mu}")
+            out -= coeff * _hall(lam, nu, sigma)
+    return out
 
 
 def hall_vanishes(lam, nu, mu) -> bool:
@@ -171,8 +172,7 @@ def hall_polynomial(lam, nu, mu) -> LaurentPoly:
     if hall_vanishes(lam, nu, mu):
         return ZERO
     # normalize the commutative product to one cached orientation
-    expansion = _u_product(nu, mu) if mu <= nu else _u_product(mu, nu)
-    return dict(expansion).get(lam, ZERO)
+    return _hall(lam, nu, mu) if mu <= nu else _hall(lam, mu, nu)
 
 
 def _subgroups(lc: Part, mu: Part) -> LaurentPoly:

@@ -124,10 +124,6 @@ class LaurentPoly:
         return not self.cs
 
     @property
-    def max_exponent(self) -> int:
-        return self.lo + len(self.cs) - 1 if self.cs else 0
-
-    @property
     def is_polynomial(self) -> bool:
         """True when no negative exponent occurs."""
         return self.lo >= 0

@@ -90,17 +90,6 @@ class Partition:
     def weight(self) -> int:
         return sum(self.parts)
 
-    @property
-    def n_stat(self) -> int:
-        """sum of (i-1) * parts[i], the classical n(lambda) statistic."""
-        return sum(i * p for i, p in enumerate(self.parts))
-
-    def conjugate(self) -> "Partition":
-        return Partition(conjugate_parts(self.parts))
-
-    def contains(self, other: "Partition") -> bool:
-        return contains_parts(self.parts, other.parts)
-
     def __len__(self):
         return len(self.parts)
 
@@ -197,31 +186,16 @@ class KroneckerDescriptor:
 
     def __add__(self, other: "KroneckerDescriptor") -> "KroneckerDescriptor":
         """Direct sum; same-label regular points merge their partitions."""
-        pp = dict(self.preprojective)
-        for n, m in other.preprojective:
-            pp[n] = pp.get(n, 0) + m
-        pi = dict(self.preinjective)
-        for n, m in other.preinjective:
-            pi[n] = pi.get(n, 0) + m
-        reg: dict[str, tuple[int, list[int]]] = {
-            label: (deg, list(part.parts)) for label, deg, part in self.regular
-        }
-        for label, deg, part in other.regular:
-            if label in reg:
-                d0, parts = reg[label]
-                if d0 != deg:
-                    raise ValueError(
-                        f"point {label!r} used with degrees {d0} and {deg}"
-                    )
-                parts.extend(part.parts)
-            else:
-                reg[label] = (deg, list(part.parts))
-        rg = [
-            (label, deg, Partition(tuple(sorted(parts, reverse=True))))
-            for label, (deg, parts) in reg.items()
-        ]
-        return KroneckerDescriptor(
-            tuple(sorted(pp.items())), tuple(sorted(pi.items())), tuple(sorted(rg))
+        reg: dict[str, tuple[int, list[int]]] = {}
+        for label, deg, part in self.regular + other.regular:
+            d0, parts = reg.setdefault(label, (deg, []))
+            if d0 != deg:
+                raise ValueError(f"point {label!r} used with degrees {d0} and {deg}")
+            parts.extend(part.parts)
+        return KroneckerDescriptor.build(
+            Counter(dict(self.preprojective)) + Counter(dict(other.preprojective)),
+            Counter(dict(self.preinjective)) + Counter(dict(other.preinjective)),
+            [(label, deg, sorted(parts, reverse=True)) for label, (deg, parts) in reg.items()],
         )
 
     # -- structure ----------------------------------------------------------

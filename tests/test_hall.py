@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import kronq.hall as hall
 from kronq.abelian import subgroup_census, subgroup_total
 from kronq.hall import (
+    _n,
     _subgroups,
     _weight_sums,
     hall_polynomial,
@@ -13,7 +15,7 @@ from kronq.hall import (
     subpartitions,
 )
 from kronq.laurent import ONE, ZERO, parse_poly
-from kronq.model import Partition, conjugate_parts, parse_module
+from kronq.model import conjugate_parts, parse_module
 
 
 def _partitions_up_to(weight):
@@ -87,6 +89,39 @@ def test_many_equal_rows_stay_cheap():
     assert time.perf_counter() - started < 1
 
 
+def test_cold_weight_20_stays_cheap():
+    # every cache the computation reads starts empty, gauss's included
+    for f in vars(hall).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    started = time.perf_counter()
+    g = hall_polynomial((5, 5, 4, 3, 2, 1), (4, 3, 2, 1), (4, 3, 2, 1))
+    assert time.perf_counter() - started < 0.25
+    assert g == parse_poly("16*q^15 + 31*q^14 - 9*q^13 - 46*q^12 - 10*q^11 + 21*q^10 + 7*q^9 - 2*q^8")
+
+
+@pytest.mark.parametrize(
+    "lam, nu, mu, want",
+    [
+        ((6, 5, 4, 3, 2, 1), (4, 3, 2, 1), (5, 3, 2, 1),
+         "24*q^15 + 20*q^14 - 39*q^13 - 27*q^12 + 23*q^11 + 10*q^10 - 5*q^9"),
+        ((5, 5, 4, 3, 2, 1), (4, 3, 2, 1), (4, 3, 2, 1),
+         "16*q^15 + 31*q^14 - 9*q^13 - 46*q^12 - 10*q^11 + 21*q^10 + 7*q^9 - 2*q^8"),
+        ((3, 3, 3, 3, 3, 3), (2, 2, 2, 1, 1, 1), (2, 2, 2, 1, 1, 1),
+         "q^9 + q^8 + 2*q^7 + 3*q^6 + 3*q^5 + 3*q^4 + 3*q^3 + 2*q^2 + q + 1"),
+        ((3, 3, 3, 3, 3, 3), (3, 3, 3), (2, 2, 2, 1, 1, 1), "0"),
+        ((4, 4, 4, 4), (4, 4), (4, 4), "q^16 + q^15 + 2*q^14 + q^13 + q^12"),
+        ((7, 5, 3, 1), (5, 3, 1), (4, 2, 1), "6*q^5 - 5*q^4 + 2*q^2 - q"),
+        ((5, 4, 3, 2, 1), (3, 3, 2, 1), (3, 2, 1), "6*q^6 + 4*q^5 - 6*q^4 - 3*q^3 + 2*q^2"),
+    ],
+)
+def test_pinned_large_values(lam, nu, mu, want):
+    # regression values, computed independently by expanding whole u-basis
+    # products; weights 15-21 lie beyond every census and sweep in this file
+    assert hall_polynomial(lam, nu, mu) == parse_poly(want)
+    assert hall_polynomial(lam, mu, nu) == parse_poly(want)
+
+
 def test_symmetry_and_vanishing():
     for lam in [(2, 2), (3, 1), (2, 1, 1), (4,), (2, 2, 1)]:
         subs = subpartitions(lam)
@@ -129,12 +164,8 @@ def test_degree_matches_the_classical_bound():
                 g = hall_polynomial(lam, nu, mu)
                 if g.is_zero:
                     continue
-                bound = (
-                    Partition(lam).n_stat
-                    - Partition(mu).n_stat
-                    - Partition(nu).n_stat
-                )
-                assert g.max_exponent == bound, (lam, mu, nu, str(g))
+                bound = _n(lam) - _n(mu) - _n(nu)
+                assert g.lo + len(g.cs) - 1 == bound, (lam, mu, nu, str(g))
                 assert g.is_polynomial
 
 

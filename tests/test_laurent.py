@@ -230,3 +230,20 @@ def test_dense_format_against_a_dict_reference():
         assert parse_poly(a.to_string()) == a
 
     check()
+
+
+def test_parse_render_round_trip_on_random_polynomials():
+    # negative exponents and coefficients far beyond 64 bits, in q and in x
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    big = st.integers(-(2**200), 2**200)
+    polys = st.builds(LaurentPoly, st.dictionaries(st.integers(-40, 40), big, max_size=10))
+
+    @hyp.settings(max_examples=300, deadline=None, database=None)
+    @hyp.given(polys)
+    def check(p):
+        assert parse_poly(p.to_string()) == p
+        assert parse_poly(p.to_string("x"), var="x") == p
+        assert parse_poly(str(-p)) == -p
+
+    check()

@@ -1,14 +1,19 @@
 import time
+from collections import Counter
 
 import pytest
 
+from kronq.hall import _n
 from kronq.model import (
     DimVector,
+    KroneckerDescriptor,
     ModuleParseError,
     Partition,
     Preinjective,
     Preprojective,
     Regular,
+    conjugate_parts,
+    contains_parts,
     ext_dim,
     euler_form,
     hom_dim,
@@ -38,10 +43,10 @@ def test_dim_vector_additive_under_direct_sum():
 def test_partition_basics():
     lam = Partition((3, 2, 2))
     assert lam.weight == 7
-    assert lam.n_stat == 0 * 3 + 1 * 2 + 2 * 2
-    assert lam.conjugate() == Partition((3, 3, 1))
-    assert lam.contains(Partition((2, 2)))
-    assert not lam.contains(Partition((4,)))
+    assert _n(lam.parts) == 0 * 3 + 1 * 2 + 2 * 2
+    assert conjugate_parts(lam.parts) == (3, 3, 1)
+    assert contains_parts(lam.parts, (2, 2))
+    assert not contains_parts(lam.parts, (4,))
     with pytest.raises(ValueError):
         Partition((1, 2))
     with pytest.raises(ValueError):
@@ -209,3 +214,50 @@ def test_single_indecomposable():
     assert parse_module("R(p,[2,1])").single_indecomposable() is None
     assert parse_module("2*P0").single_indecomposable() is None
     assert parse_module("0").single_indecomposable() is None
+
+
+def _random_descriptors(st):
+    """Descriptors with P and I multiplicities 1-5 at indices 0-30 and up to
+    three labelled points of degree 1-3 carrying partitions of 1-4 parts."""
+    counts = st.dictionaries(st.integers(0, 30), st.integers(1, 5), max_size=4)
+    label = st.text("abpqxyz019_", min_size=1, max_size=3)
+    parts = st.lists(st.integers(1, 6), min_size=1, max_size=4)
+    points = st.dictionaries(label, st.tuples(st.integers(1, 3), parts), max_size=3)
+    return st.builds(
+        lambda pp, pi, reg: KroneckerDescriptor.build(
+            pp, pi, [(lab, deg, sorted(ps, reverse=True)) for lab, (deg, ps) in reg.items()]
+        ),
+        counts, counts, points,
+    )
+
+
+def test_parse_render_round_trip_on_random_descriptors():
+    hyp = pytest.importorskip("hypothesis")
+    modules = _random_descriptors(hyp.strategies)
+
+    @hyp.settings(max_examples=200, deadline=None, database=None)
+    @hyp.given(modules, modules)
+    def check(m, other):
+        assert parse_module(str(m)) == m
+        assert str(parse_module(str(m))) == str(m)
+        # the direct sum against the multiset of summands, or the one error
+        clashes = [
+            (label, deg, d0)
+            for label, d0, _ in m.regular
+            for l2, deg, _ in other.regular
+            if l2 == label and deg != d0
+        ]
+        if clashes:
+            label, deg, d0 = clashes[0]
+            with pytest.raises(ValueError) as exc:
+                m + other
+            assert str(exc.value) == f"point {label!r} used with degrees {d0} and {deg}"
+            return
+        total = m + other
+        assert Counter(total.summands()) == Counter(m.summands()) + Counter(other.summands())
+        assert total == other + m
+        if not (m.is_zero or other.is_zero):
+            assert parse_module(f"{m} + {other}") == total
+        assert parse_module(str(total)) == total
+
+    check()
