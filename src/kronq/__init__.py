@@ -7,7 +7,6 @@ indecomposables, and can verify any of them against brute-force enumeration
 over small prime fields.
 """
 
-from .abelian import subgroup_census, subgroup_count_by_types, subgroup_total
 from .closed_form import (
     count_preinjective,
     count_preprojective,
@@ -15,7 +14,7 @@ from .closed_form import (
     euler_char,
     euler_char_formula,
 )
-from .engine import CountingEngine, count, recursion_a, recursion_b
+from .engine import CountingEngine, count
 from .hall import hall_polynomial, hall_vanishes, regular_diagonal_count, subpartitions
 from .laurent import ONE, Q, ZERO, LaurentPoly, PolyParseError, parse_poly
 from .model import (
@@ -40,7 +39,6 @@ from .oracle import (
     build_rep,
     count_submodules,
     count_submodules_naive,
-    enumerate_subspaces,
     hom_dim_numeric,
     submodule_table,
 )

@@ -78,7 +78,7 @@ from .model import (
 )
 from .qbinom import gauss
 
-__all__ = ["CountingEngine", "count", "recursion_a", "recursion_b"]
+__all__ = ["CountingEngine", "count"]
 
 
 class _Record:
@@ -272,11 +272,3 @@ def count(module: KroneckerDescriptor, a: int, b: int) -> LaurentPoly:
     """Number of submodules with dimension vector (a, b), as a polynomial
     in the field size (shared memoized engine)."""
     return _DEFAULT.count(module, a, b)
-
-
-def recursion_a(module: KroneckerDescriptor, a: int, b: int) -> LaurentPoly:
-    return _DEFAULT.recursion_a(module, a, b)
-
-
-def recursion_b(module: KroneckerDescriptor, a: int, b: int) -> LaurentPoly:
-    return _DEFAULT.recursion_b(module, a, b)

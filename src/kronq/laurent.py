@@ -10,7 +10,7 @@ canonical form: the first and last entries of ``cs`` are nonzero and zero is
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from operator import add
 
 __all__ = ["LaurentPoly", "PolyParseError", "parse_poly", "ZERO", "ONE", "Q"]
@@ -236,31 +236,14 @@ class LaurentPoly:
 
     # -- evaluation -------------------------------------------------------
 
-    def eval_at(self, q0) -> Fraction:
-        """Exact value at a rational point."""
-        q0 = Fraction(q0)
-        if q0 == 0:
-            if self.lo < 0:
-                raise ZeroDivisionError(
-                    "cannot evaluate negative exponents at 0"
-                )
-            return Fraction(self.coefficient(0))
-        total = Fraction(0)
-        for e, v in self.items():
-            total += v * q0**e
-        return total
+    def eval_integer(self, q0: int) -> int:
+        """Exact value at the int q0, asserting the result is an integer.
 
-    def eval_integer(self, q0) -> int:
-        """Exact value at q0, asserting the result is an integer.
-
-        An int q0 takes Horner's rule on ``cs`` and, for negative exponents,
-        one exact division by q0^-lo; other input goes through ``eval_at``.
+        Takes ints only: Horner's rule on ``cs`` and, for negative
+        exponents, one exact division by q0^-lo.
         """
         if not isinstance(q0, int):
-            val = self.eval_at(q0)
-            if val.denominator != 1:
-                raise ValueError(f"value {val} at q={q0} is not an integer")
-            return val.numerator
+            raise TypeError(f"q0 must be an int, not {type(q0).__name__}")
         total = 0
         for c in reversed(self.cs):
             total = total * q0 + c
@@ -271,7 +254,8 @@ class LaurentPoly:
         den = q0**-self.lo
         val, rem = divmod(total, den)
         if rem:
-            raise ValueError(f"value {Fraction(total, den)} at q={q0} is not an integer")
+            g = gcd(total, den) * (-1 if den < 0 else 1)
+            raise ValueError(f"value {total // g}/{den // g} at q={q0} is not an integer")
         return val
 
     # -- equality, hashing, display ---------------------------------------

@@ -90,15 +90,6 @@ class Partition:
     def weight(self) -> int:
         return sum(self.parts)
 
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
     def __bool__(self):
         return bool(self.parts)
 

@@ -30,9 +30,8 @@ call whose p^dim2 image entries and walked nodes add up to more than 10^6
 is refused with ``ValueError`` before any enumeration.
 
 ``count_submodules_naive`` keeps its own RREF enumeration, matrix-vector
-product and span test as an independent cross-check.  That enumeration,
-which ``enumerate_subspaces`` also returns, is built afresh on each call
-and kept by no cache.
+product and span test as an independent cross-check.  That enumeration is
+built afresh on each call and kept by no cache.
 """
 
 from __future__ import annotations
@@ -52,12 +51,9 @@ __all__ = [
     "count_submodules",
     "count_submodules_naive",
     "submodule_table",
-    "enumerate_subspaces",
     "hom_dim_numeric",
 ]
 
-_SUBSPACE_PRIMES = (2, 3, 5)
-_MAX_SUBSPACE_DIM = 6
 # work bound of one oracle call: image table entries plus subspaces walked
 _MAX_SUBSPACES = 10**6
 
@@ -146,18 +142,6 @@ def _subspace_bases(n: int, k: int, p: int) -> tuple[tuple[tuple[int, ...], ...]
                 rows[i][j] = v
             out.append(tuple(tuple(r) for r in rows))
     return tuple(out)
-
-
-def enumerate_subspaces(n: int, k: int, p: int):
-    """Canonical RREF representatives of all k-subspaces of F_p^n.
-
-    Guarded to desk scale: 0 <= k <= n <= 6 and small primes only.
-    """
-    if not 0 <= k <= n <= _MAX_SUBSPACE_DIM:
-        raise ValueError(f"need 0 <= k <= n <= {_MAX_SUBSPACE_DIM}, got k={k}, n={n}")
-    if p not in _SUBSPACE_PRIMES:
-        raise ValueError(f"p must be one of {_SUBSPACE_PRIMES}, got {p}")
-    return list(_subspace_bases(n, k, p))
 
 
 # -- representation builder --------------------------------------------------

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 import kronq.cli as cli
 from kronq.cli import _points_of_degree, build_parser, main
@@ -59,6 +63,26 @@ def test_count_json_schema_and_at(capsys):
     assert rec["polynomial"] == "q + 1"
     assert rec["value"] == 3
     assert rec["euler"] == 2
+
+
+def test_schema_requires_an_integer_value():
+    doc = {
+        "kind": "count",
+        "records": [{"module": "P1", "a": 1, "b": 0, "polynomial": "q + 1", "at": 2, "value": 3}],
+    }
+    jsonschema.validate(doc, SCHEMA)
+    doc["records"][0]["value"] = "1/2"
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, SCHEMA)
+
+
+def test_cli_import_leaves_fractions_and_the_census_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    probe = "import sys, kronq.cli; print(sorted({'fractions', 'kronq.abelian'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_count_warns_on_non_prime_power(capsys):

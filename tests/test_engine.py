@@ -11,7 +11,7 @@ from kronq.closed_form import (
     count_regular_deg1,
     euler_char_formula,
 )
-from kronq.engine import CountingEngine, count, recursion_a, recursion_b
+from kronq.engine import CountingEngine, count
 from kronq.laurent import ONE, ZERO, parse_poly
 from kronq.model import (
     DimVector,
@@ -51,12 +51,14 @@ def test_fixed_small_counts():
 
 
 def test_recursion_a_formula_directly():
+    recursion_a = CountingEngine().recursion_a
     assert recursion_a(parse_module("P1"), 1, 0) == count_preprojective(1, 1, 0)
     assert recursion_a(parse_module("R(p,[2])"), 2, 1) == count_regular_deg1(2, 2, 1)
     assert recursion_a(parse_module("3*P0"), 1, 0) == parse_poly("q^2 + q + 1")
 
 
 def test_recursion_b_formula_directly():
+    recursion_b = CountingEngine().recursion_b
     assert recursion_b(parse_module("I1"), 1, 1) == count_preinjective(1, 1, 1)
     # pure injective-simple modules: the reflected side is empty and the
     # whole count sits in one Gaussian factor
@@ -69,6 +71,7 @@ def test_recursion_b_formula_directly():
 
 def test_recursion_b_against_oracle_on_mixed_modules():
     mods = ["I1 + I0", "2*I1", "I2 + R(p,[1])", "I1 + R(p@2,[1])", "3*I0 + I1"]
+    recursion_b = CountingEngine().recursion_b
     for text in mods:
         m = parse_module(text)
         for p in (2, 3):

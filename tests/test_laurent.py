@@ -93,19 +93,25 @@ def test_convolve_matches_double_loop():
 
 
 def test_eval_exact():
-    assert parse_poly("q + 1").eval_at(2) == 3
-    assert LaurentPoly.monomial(-1).eval_at(2) == Fraction(1, 2)
-    assert parse_poly("q^2 + q + 1").eval_at(1) == 3
+    assert parse_poly("q + 1").eval_integer(2) == 3
+    with pytest.raises(ValueError, match="value 1/2 at q=2 is not an integer"):
+        LaurentPoly.monomial(-1).eval_integer(2)
     assert parse_poly("q^2 + q + 1").eval_integer(1) == 3
-    assert parse_poly("q - 1").eval_at(Fraction(1, 3)) == Fraction(-2, 3)
 
 
 def test_eval_error_signals():
     with pytest.raises(ZeroDivisionError):
-        LaurentPoly.monomial(-2).eval_at(0)
-    assert parse_poly("q^2 + 5").eval_at(0) == 5
+        LaurentPoly.monomial(-2).eval_integer(0)
+    assert parse_poly("q^2 + 5").eval_integer(0) == 5
     with pytest.raises(ValueError):
         LaurentPoly.monomial(-1).eval_integer(2)
+
+
+def test_eval_integer_takes_ints_only():
+    p = parse_poly("q + 1")
+    for q0 in (Fraction(1, 3), 2.0, Fraction(2)):
+        with pytest.raises(TypeError):
+            p.eval_integer(q0)
 
 
 def test_eval_integer_with_negative_exponents():
@@ -126,20 +132,24 @@ def test_eval_integer_with_negative_exponents():
         p.eval_integer(0)
     assert parse_poly("q^2 + 5").eval_integer(0) == 5
     assert ZERO.eval_integer(7) == 0
+    # the message reduces the fraction and keeps its denominator positive
+    with pytest.raises(ValueError, match="^value -1/2 at q=-2 is not an integer$"):
+        parse_poly("q^-1").eval_integer(-2)
 
 
-def test_eval_integer_matches_eval_at():
+def test_eval_integer_matches_exact_fractions():
     rng = random.Random(3)
     for _ in range(300):
         lo = rng.randrange(-4, 4)
         p = LaurentPoly.dense(lo, [rng.randrange(-9, 10) for _ in range(rng.randrange(6))])
-        for q0 in (-3, -1, 1, 2, 5):
-            val = p.eval_at(q0)
+        for q0 in (-3, -2, -1, 1, 2, 3, 5):
+            val = sum((Fraction(q0) ** e * v for e, v in p.items()), Fraction(0))
             if val.denominator == 1:
                 assert p.eval_integer(q0) == val
             else:
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError) as err:
                     p.eval_integer(q0)
+                assert str(err.value) == f"value {val} at q={q0} is not an integer"
 
 
 def test_divexact():
