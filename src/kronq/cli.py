@@ -11,8 +11,9 @@ Subcommands:
 Output formats: text (default), json, csv.  Exit codes: 0 success, 1
 runtime error (including unrealizable verification requests, a
 verification whose oracle would walk more than 10^6 vertex-2 vectors and
-subspaces, a module too deep for the interpreter's recursion limit, and
-an engine value that fails its polynomial check), 2 parse error, 3
+subspaces, refused from the dimension vector before any matrix model is
+built, a module too deep for the interpreter's recursion limit, and an
+engine value that fails its polynomial check), 2 parse error, 3
 evaluation point is not a prime power (result still printed), 4
 verification mismatch.  Errors go to stderr only, as one line.
 
@@ -40,7 +41,7 @@ from .model import (
     hom_dim,
     parse_module,
 )
-from .oracle import build_rep, count_submodules, submodule_table
+from .oracle import build_rep, check_work, count_submodules, submodule_table
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -207,13 +208,16 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     module = _parse_input(parse_module, args.module)
+    cell = None if args.dim is None else _parse_input(_parse_dim, args.dim)
+    # the oracle's work bound needs only the dimension vector, so an
+    # oversized request is refused before any matrix model is built
+    check_work(args.prime, *module.dim_vector(), cell)
     engine = CountingEngine(memoize=not args.no_cache)
     rep = build_rep(module, args.prime)
-    if args.dim is not None:
-        a, b = _parse_input(_parse_dim, args.dim)
-        table = {(a, b): count_submodules(rep, a, b)}
-    else:
+    if cell is None:
         table = submodule_table(rep)
+    else:
+        table = {cell: count_submodules(rep, *cell)}
     records = []
     mismatches = 0
     for (a, b), expected in sorted(table.items()):

@@ -331,9 +331,9 @@ def parse_poly(text: str, var: str = "q") -> LaurentPoly:
         elif not first:
             raise PolyParseError("expected '+' or '-'", i)
         coeff = None
-        if i < n and text[i].isdigit():
+        if i < n and text[i].isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             coeff = int(text[i:j])
             i = skip_ws(j)
@@ -352,9 +352,9 @@ def parse_poly(text: str, var: str = "q") -> LaurentPoly:
                 j = i
                 if j < n and text[j] == "-":
                     j += 1
-                if j == n or not text[j].isdigit():
+                if j == n or not text[j].isdecimal():
                     raise PolyParseError("expected integer exponent", j)
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
                 exponent = int(text[i:j])
                 i = j

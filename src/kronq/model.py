@@ -329,7 +329,7 @@ def parse_module(text: str) -> KroneckerDescriptor:
 
     def read_nat(i, what):
         j = i
-        while j < n and s[j].isdigit():
+        while j < n and s[j].isdecimal():
             j += 1
         if j == i:
             raise ModuleParseError(f"expected {what}", i)
@@ -347,7 +347,7 @@ def parse_module(text: str) -> KroneckerDescriptor:
                 raise ModuleParseError("expected '+' between summands", i)
             i = skip_ws(i + 1)
         mult = 1
-        if i < n and s[i].isdigit():
+        if i < n and s[i].isdecimal():
             mult, i = read_nat(i, "multiplicity")
             i = skip_ws(i)
             if i == n or s[i] != "*":

@@ -5,7 +5,9 @@ submodules of a given dimension vector directly.  Everything here is
 deliberately independent of the closed formulas and the recursion engine;
 the only import from the counting stack is the integer Gaussian
 coefficient ``gauss_int``, which the tests check against subspace
-enumeration.
+enumeration.  ``build_rep`` writes each summand's block in place; its
+points of degree d are the monic irreducibles that a sieve leaves after
+striking every product of a lower-degree irreducible with a monic cofactor.
 
 A submodule is a pair (U1, U2) with alpha U2 + beta U2 inside U1.  For each
 vertex-2 subspace U2 the oracle takes the rank w of its images; the U1 that
@@ -27,7 +29,9 @@ visits sum over d of gauss(d, n - nx(d) + d) nodes, with n = dim2 and
 nx(d) the smallest requested dimension >= d: every subspace for a whole
 table, and only the d-subspaces with top pivot >= b - d for one cell b.  A
 call whose p^dim2 image entries and walked nodes add up to more than 10^6
-is refused with ``ValueError`` before any enumeration.
+is refused with ``ValueError`` before any enumeration.  ``check_work``
+applies that bound from the dimension vector alone, so a refused request
+builds no matrix model.
 
 ``count_submodules_naive`` keeps its own RREF enumeration, matrix-vector
 product and span test as an independent cross-check.  That enumeration is
@@ -48,6 +52,7 @@ __all__ = [
     "MatrixRep",
     "PointCapacityError",
     "build_rep",
+    "check_work",
     "count_submodules",
     "count_submodules_naive",
     "submodule_table",
@@ -147,80 +152,50 @@ def _subspace_bases(n: int, k: int, p: int) -> tuple[tuple[tuple[int, ...], ...]
 # -- representation builder --------------------------------------------------
 
 
+def _monic_product(f: tuple[int, ...], g: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """(x^e + f)(x^k + g) over F_p, each polynomial an ascending coefficient
+    tuple without its leading 1."""
+    out = [0] * (len(f) + len(g) + 1)
+    for i, x in enumerate(f + (1,)):
+        if x:
+            for j, y in enumerate(g + (1,)):
+                out[i + j] += x * y
+    return tuple(c % p for c in out[:-1])
+
+
 @cache
 def _monic_irreducibles(d: int, p: int) -> tuple[tuple[int, ...], ...]:
     """Monic irreducible polynomials of degree d over F_p, as ascending
-    coefficient tuples without the leading 1, in lexicographic order."""
-    if d == 1:
-        return tuple((c,) for c in range(p))
-    found = []
-    for tail in product(range(p), repeat=d):
-        # x^d + tail; irreducible iff no monic factor of degree <= d//2
-        if tail[0] == 0:
-            continue
-        reducible = False
-        for e in range(1, d // 2 + 1):
-            for ftail in product(range(p), repeat=e):
-                # trial divide by x^e + ftail
-                rem = list(tail)
-                rem += [0] * (d - len(rem))
-                rem.append(1)  # degree-d monic dividend
-                div = list(ftail) + [1]
-                for i in range(d, e - 1, -1):
-                    c = rem[i]
-                    if c:
-                        for j in range(e + 1):
-                            rem[i - e + j] = (rem[i - e + j] - c * div[j]) % p
-                if not any(rem[:e]):
-                    reducible = True
-                    break
-            if reducible:
-                break
-        if not reducible:
-            found.append(tuple(tail))
-    return tuple(found)
+    coefficient tuples without the leading 1, in lexicographic order.
 
-
-def _companion(tail: tuple[int, ...], p: int) -> list[list[int]]:
-    d = len(tail)
-    mat = [[0] * d for _ in range(d)]
-    for i in range(1, d):
-        mat[i][i - 1] = 1
-    for i in range(d):
-        mat[i][d - 1] = (-tail[i]) % p
-    return mat
-
-
-def _regular_blocks(param, degree: int, t: int, p: int):
-    """alpha/beta blocks for one uniserial of length t at a point.
-
-    alpha is the identity and beta a block Jordan matrix whose diagonal
-    blocks are the companion matrix of the point's monic irreducible
-    polynomial.  The extra degree-1 point 'inf' swaps alpha with the
-    nilpotent beta of the polynomial x.
+    A sieve: a reducible monic polynomial of degree d is the product of a
+    monic irreducible of some degree e <= d/2 with a monic polynomial of
+    degree d - e, so striking every such product leaves the irreducibles.
     """
-    if param == "inf":
-        ident, nilpotent = _regular_blocks((0,), 1, t, p)
-        return nilpotent, ident
-    size = t * degree
-    ident = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    comp = _companion(param, p)
-    jordan = [[0] * size for _ in range(size)]
-    for blk in range(t):
-        off = blk * degree
-        for i in range(degree):
-            for j in range(degree):
-                jordan[off + i][off + j] = comp[i][j]
-        if blk + 1 < t:
-            for i in range(degree):
-                jordan[off + i][off + degree + i] = 1
-    return ident, jordan
+    struck = {
+        _monic_product(f, g, p)
+        for e in range(1, d // 2 + 1)
+        for f in _monic_irreducibles(e, p)
+        for g in product(range(p), repeat=d - e)
+    }
+    return tuple(t for t in product(range(p), repeat=d) if t not in struck)
 
 
-def build_rep(
-    module: KroneckerDescriptor, p: int, parameter_shift: int = 0
-) -> MatrixRep:
+def build_rep(module: KroneckerDescriptor, p: int, parameter_shift: int = 0) -> MatrixRep:
     """Block-diagonal matrix model of a descriptor over F_p.
+
+    Each summand owns the next rows (vertex 1) and columns (vertex 2), and
+    its entries are written straight into ``alpha`` and ``beta``:
+
+    - P_n: alpha is [I; 0] and beta is [0; I], with I the n x n identity;
+    - I_n: alpha is [I 0] and beta is [0 I];
+    - a uniserial of length t at a point of degree d with monic irreducible
+      x^d + c_(d-1) x^(d-1) + ... + c_0: alpha is the identity of size td
+      and beta the block Jordan matrix with t companion blocks on its
+      diagonal (1 below the diagonal, -c_i in row i of the last column) and
+      identities just above them;
+    - at the extra degree-1 point 'inf' the two swap: beta is the identity
+      and alpha the nilpotent Jordan block of the polynomial x.
 
     Distinct labels receive distinct points; ``parameter_shift`` rotates the
     parameter pools, which must not change any submodule count.  Raises
@@ -230,12 +205,9 @@ def build_rep(
     alpha = [[0] * dim.b for _ in range(dim.a)]
     beta = [[0] * dim.b for _ in range(dim.a)]
 
-    # assign concrete points per degree
-    degree_labels: dict[int, list[str]] = {}
-    for label, deg, _ in module.regular:
-        degree_labels.setdefault(deg, []).append(label)
-    assignment = {}
-    for deg, labels in degree_labels.items():
+    assignment = {}  # label -> point, per degree in order of first use
+    for deg in dict.fromkeys(d for _, d, _ in module.regular):
+        labels = sorted(label for label, d, _ in module.regular if d == deg)
         pool = list(_monic_irreducibles(deg, p)) + (["inf"] if deg == 1 else [])
         if len(labels) > len(pool):
             raise PointCapacityError(
@@ -243,48 +215,35 @@ def build_rep(
                 f"descriptor needs {len(labels)}"
             )
         shift = parameter_shift % len(pool)
-        pool = pool[shift:] + pool[:shift]
-        for label, param in zip(sorted(labels), pool):
-            assignment[label] = param
+        assignment.update(zip(labels, pool[shift:] + pool[:shift]))
 
-    def paste(block, target, r0, c0):
-        for i, row in enumerate(block):
-            for j, v in enumerate(row):
-                if v:
-                    target[r0 + i][c0 + j] = v
-
-    r0 = c0 = 0
+    r = c = 0  # first row and column of the next summand
     for s in module.summands():
         if isinstance(s, Preprojective):
-            n = s.n
-            a_blk = [[1 if i == j else 0 for j in range(n)] for i in range(n + 1)]
-            b_blk = [[1 if i == j + 1 else 0 for j in range(n)] for i in range(n + 1)]
-            paste(a_blk, alpha, r0, c0)
-            paste(b_blk, beta, r0, c0)
-            r0 += n + 1
-            c0 += n
+            for i in range(s.n):
+                alpha[r + i][c + i] = beta[r + i + 1][c + i] = 1
+            r, c = r + s.n + 1, c + s.n
         elif isinstance(s, Preinjective):
-            n = s.n
-            a_blk = [[1 if i == j else 0 for j in range(n + 1)] for i in range(n)]
-            b_blk = [[1 if i + 1 == j else 0 for j in range(n + 1)] for i in range(n)]
-            paste(a_blk, alpha, r0, c0)
-            paste(b_blk, beta, r0, c0)
-            r0 += n
-            c0 += n + 1
+            for i in range(s.n):
+                alpha[r + i][c + i] = beta[r + i][c + i + 1] = 1
+            r, c = r + s.n, c + s.n + 1
         else:
-            a_blk, b_blk = _regular_blocks(assignment[s.point], s.degree, s.length, p)
-            paste(a_blk, alpha, r0, c0)
-            paste(b_blk, beta, r0, c0)
-            size = s.degree * s.length
-            r0 += size
-            c0 += size
-    return MatrixRep(
-        p,
-        dim.a,
-        dim.b,
-        tuple(tuple(r) for r in alpha),
-        tuple(tuple(r) for r in beta),
-    )
+            tail = assignment[s.point]
+            ident, jordan = alpha, beta
+            if tail == "inf":
+                ident, jordan, tail = beta, alpha, (0,)
+            d, size = s.degree, s.degree * s.length
+            for i in range(size):
+                k = i % d  # row k of a companion block
+                ident[r + i][c + i] = 1
+                row = jordan[r + i]
+                if k:
+                    row[c + i - 1] = 1
+                row[c + i - k + d - 1] = -tail[k] % p
+                if i + d < size:
+                    row[c + i + d] = 1
+            r, c = r + size, c + size
+    return MatrixRep(p, dim.a, dim.b, tuple(map(tuple, alpha)), tuple(map(tuple, beta)))
 
 
 # -- counting ----------------------------------------------------------------
@@ -395,23 +354,27 @@ def _walk(rep: MatrixRep, dims) -> list[dict[int, int]]:
     return hists
 
 
-def _rank_histograms(rep: MatrixRep, dims) -> list[dict[int, int]]:
-    """For each vertex-2 dimension b in ``dims``, the number of b-subspaces
-    U2 of F_p^dim2 keyed by w = dim(alpha U2 + beta U2).
-
-    Refuses, before any enumeration, a call whose work exceeds
-    ``_MAX_SUBSPACES``: the p^dim2 entries of the image tables plus the
-    nodes the walk visits.
-    """
-    p = rep.p
-    work = p**rep.dim2 + _walk_size(rep.dim2, p, dims)
+def check_work(
+    p: int, dim1: int, dim2: int, cell: tuple[int, int] | None = None
+) -> list[int]:
+    """The vertex-2 dimensions that ``count_submodules(rep, *cell)``, or
+    ``submodule_table(rep)`` when ``cell`` is None, walks on a model of
+    dimension vector (dim1, dim2) over F_p; none for a cell out of range.
+    Raises ``ValueError`` when the p^dim2 image-table entries plus the
+    walked nodes exceed ``_MAX_SUBSPACES``.  It needs no model, so a caller
+    can refuse a request before building one."""
+    if cell is None:
+        dims = list(range(dim2 + 1))
+    else:
+        a, b = cell
+        dims = [b] if 0 <= a <= dim1 and 0 <= b <= dim2 else []
+    work = p**dim2 + _walk_size(dim2, p, dims) if dims else 0
     if work > _MAX_SUBSPACES:
         raise ValueError(
             f"the oracle would walk {work} vectors and subspaces of "
-            f"F_{p}^{rep.dim2}; its bound is {_MAX_SUBSPACES}"
+            f"F_{p}^{dim2}; its bound is {_MAX_SUBSPACES}"
         )
-    hists = _walk(rep, dims)
-    return [hists[b] for b in dims]
+    return dims
 
 
 def _cell(rep: MatrixRep, hist: dict[int, int], a: int) -> int:
@@ -426,15 +389,13 @@ def _cell(rep: MatrixRep, hist: dict[int, int], a: int) -> int:
 def count_submodules(rep: MatrixRep, a: int, b: int) -> int:
     """Pairs of subspaces (U1, U2) of dimensions (a, b) with both images of
     U2 inside U1; 0 for out-of-range dimensions."""
-    if a < 0 or b < 0 or a > rep.dim1 or b > rep.dim2:
-        return 0
-    (hist,) = _rank_histograms(rep, (b,))
-    return _cell(rep, hist, a)
+    dims = check_work(rep.p, rep.dim1, rep.dim2, (a, b))
+    return _cell(rep, _walk(rep, dims)[b], a) if dims else 0
 
 
 def submodule_table(rep: MatrixRep) -> dict[tuple[int, int], int]:
     """Counts for every (a, b) in one pass per vertex-2 dimension."""
-    hists = _rank_histograms(rep, range(rep.dim2 + 1))
+    hists = _walk(rep, check_work(rep.p, rep.dim1, rep.dim2))
     return {
         (a, b): _cell(rep, hist, a)
         for b, hist in enumerate(hists)

@@ -113,7 +113,7 @@ def test_count_warns_when_field_has_too_few_points(capsys):
 
 
 def test_point_counts_match_the_oracle_point_pools():
-    for p in (2, 3):
+    for p in (2, 3, 5):
         assert _points_of_degree(1, p) == p + 1
         for d in range(2, 6):
             assert _points_of_degree(d, p) == len(list(_monic_irreducibles(d, p)))
@@ -338,6 +338,23 @@ def test_verify_work_bound_counts_only_the_requested_cell(capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+
+
+def test_verify_refuses_before_building_the_model(capsys, monkeypatch):
+    # a point of degree 8 over F_5 has a pool of 5^8 polynomials to sieve;
+    # the bound needs only the dimension vector (8, 8)
+    built = []
+    monkeypatch.setattr(cli, "build_rep", lambda *args: built.append(args))
+    code, out, err = run(capsys, "verify", "-m", "R(x@8,[1])", "-p", "5")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the oracle would walk 281269055969 vectors and subspaces of "
+        "F_5^8; its bound is 1000000\n"
+    )
+    code, out, err = run(capsys, "verify", "-m", "R(x@8,[1])", "-p", "5", "-d", "3,3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the oracle would walk ")
+    assert not built
 
 
 def test_failed_polynomial_check_exit_1(capsys, monkeypatch):

@@ -196,6 +196,14 @@ def test_parse_errors_carry_position():
         parse_poly("q 1")
 
 
+def test_parse_reads_only_decimal_digits():
+    # superscripts are digits to str.isdigit but not to int()
+    for bad, pos in [("q^²", 2), ("³q", 0), ("q + 2³", 5)]:
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(bad)
+        assert exc.value.position == pos, bad
+
+
 def test_dense_format_against_a_dict_reference():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies

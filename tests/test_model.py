@@ -200,6 +200,14 @@ def test_parse_errors():
         parse_module("R(p,[1]) + R(p@2,[1])")  # degree conflict on one label
 
 
+def test_parse_reads_only_decimal_digits():
+    # superscripts are digits to str.isdigit but not to int()
+    for bad, pos in [("P²", 1), ("R(p,[¹])", 5), ("R(p@³,[1])", 4), ("²*P0", 0)]:
+        with pytest.raises(ModuleParseError) as exc:
+            parse_module(bad)
+        assert exc.value.position == pos, bad
+
+
 def test_counting_key_ignores_labels():
     m1 = parse_module("R(a,[2]) + R(b,[1])")
     m2 = parse_module("R(x,[1]) + R(y,[2])")

@@ -14,6 +14,7 @@ from kronq.oracle import (
     _MAX_SUBSPACES,
     _image_tables,
     _matvec,
+    _monic_irreducibles,
     _subspace_bases,
     _walk,
     _walk_size,
@@ -35,6 +36,38 @@ def test_standard_models():
     # companion matrix of the unique irreducible quadratic over F_2
     assert rep.alpha == ((1, 0), (0, 1))
     assert rep.beta == ((0, 1), (1, 1))
+    # x^3 + x^2 + 1, the first cubic of the F_2 pool: companion blocks on
+    # the diagonal of beta, an identity block above them
+    rep = build_rep(parse_module("R(p@3,[2])"), 2)
+    assert (rep.dim1, rep.dim2) == (6, 6)
+    assert rep.alpha == tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+    assert rep.beta == (
+        (0, 0, 1, 1, 0, 0),
+        (1, 0, 0, 0, 1, 0),
+        (0, 1, 1, 0, 0, 1),
+        (0, 0, 0, 0, 0, 1),
+        (0, 0, 0, 1, 0, 0),
+        (0, 0, 0, 0, 1, 1),
+    )
+    # a shift of 3 gives the F_3 pool's fourth point, 'inf': alpha is the
+    # nilpotent block and beta the identity
+    rep = build_rep(parse_module("R(p,[2])"), 3, parameter_shift=3)
+    assert rep.alpha == ((0, 1), (0, 0))
+    assert rep.beta == ((1, 0), (0, 1))
+    # P0 and I0 are a row and a column of zeros
+    rep = build_rep(parse_module("P0 + I0"), 2)
+    assert (rep.dim1, rep.dim2, rep.alpha, rep.beta) == (1, 1, ((0,),), ((0,),))
+
+
+def test_quadratic_and_cubic_pool_polynomials_have_no_root():
+    # a quadratic or cubic without a root in F_p is irreducible
+    for p in (2, 3, 5, 7):
+        for d in (2, 3):
+            pool = _monic_irreducibles(d, p)
+            assert list(pool) == sorted(set(pool)), (d, p)
+            for tail in pool:
+                for x in range(p):
+                    assert (x**d + sum(c * x**i for i, c in enumerate(tail))) % p, (tail, x)
 
 
 def test_submodule_counts():
