@@ -11,7 +11,6 @@ from .closed_form import (
     count_preinjective,
     count_preprojective,
     count_regular_deg1,
-    euler_char,
     euler_char_formula,
 )
 from .engine import CountingEngine, count

@@ -23,7 +23,6 @@ from .qbinom import gauss_int
 
 __all__ = [
     "subgroup_census",
-    "subgroup_total",
     "subgroup_count_by_types",
 ]
 
@@ -169,10 +168,6 @@ def subgroup_census(lam, p: int) -> dict[tuple[Part, Part], int]:
     if lam[0] == 1:
         return _elementary_census(len(lam), p)
     return _generic_census(lam, p)
-
-
-def subgroup_total(lam, p: int) -> int:
-    return sum(subgroup_census(tuple(lam), p).values())
 
 
 def subgroup_count_by_types(lam, mu, nu, p: int) -> int:

@@ -19,9 +19,9 @@ verification mismatch.  Errors go to stderr only, as one line.
 
 ``count --at q`` with a prime power q also prints one ``warning:`` line on
 stderr when the module uses more points of some degree d than the
-projective line over F_q has (q + 1 for d = 1, the number of monic
-irreducibles of degree d otherwise); stdout and the exit code are the same
-as without the warning.
+projective line over F_q has; that count is the oracle's
+``points_of_degree``, the one that bounds the points of its matrix models.
+stdout and the exit code are the same as without the warning.
 """
 
 from __future__ import annotations
@@ -40,27 +40,21 @@ from .model import (
     ext_dim,
     hom_dim,
     parse_module,
+    read_ints,
 )
-from .oracle import build_rep, check_work, count_submodules, submodule_table
+from .oracle import (
+    build_rep,
+    check_work,
+    count_submodules,
+    points_of_degree,
+    submodule_table,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_PARSE = 2
 EXIT_BAD_POINT = 3
 EXIT_MISMATCH = 4
-
-
-class InputError(ValueError):
-    """User-supplied text failed to parse (exit code 2)."""
-
-
-def _parse_input(fn, *args):
-    try:
-        return fn(*args)
-    except ModuleParseError:
-        raise
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
 
 
 def _is_prime_power(n: int) -> bool:
@@ -76,21 +70,6 @@ def _is_prime_power(n: int) -> bool:
     return False
 
 
-def _points_of_degree(d: int, q: int) -> int:
-    """Closed points of degree d on the projective line over F_q: q + 1 for
-    d = 1, else the monic irreducibles of degree d.  Those follow from
-    q^e = sum over f | e of f * (irreducibles of degree f), which Moebius
-    inversion turns into Gauss's necklace formula."""
-    if d == 1:
-        return q + 1
-    irreducibles: dict[int, int] = {}  # by degree, over the divisors of d
-    for e in range(1, d + 1):
-        if d % e == 0:
-            lower = sum(f * n for f, n in irreducibles.items() if e % f == 0)
-            irreducibles[e] = (q**e - lower) // e
-    return irreducibles[d]
-
-
 def _unrealizable_degrees(module, q: int) -> list[str]:
     """One note per point degree that F_q has too few points for."""
     used: dict[int, int] = {}
@@ -102,7 +81,7 @@ def _unrealizable_degrees(module, q: int) -> list[str]:
         # so a large degree needs no exact count (nor a huge power of q)
         if degree >= 4 and degree - 1 >= (degree * n).bit_length():
             continue
-        have = _points_of_degree(degree, q)
+        have = points_of_degree(degree, q)
         if n > have:
             notes.append(f"{n} points of degree {degree}, F_{q} has {have}")
     return notes
@@ -129,15 +108,16 @@ def _emit(records: list[dict], fields: list[str], fmt: str, title: str | None = 
 
 
 def _parse_dim(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"dimension must be 'a,b', got {text!r}")
-    return int(parts[0]), int(parts[1])
+    dims = read_ints(text, "dimension")
+    if len(dims) != 2:
+        at = dims[2][1] if len(dims) > 2 else len(text)
+        raise ModuleParseError(f"dimension must be 'a,b', got {text!r}", at)
+    return dims[0][0], dims[1][0]
 
 
 def cmd_count(args) -> int:
-    module = _parse_input(parse_module, args.module)
-    a, b = _parse_input(_parse_dim, args.dim)
+    module = parse_module(args.module)
+    a, b = _parse_dim(args.dim)
     engine = CountingEngine(memoize=not args.no_cache)
     poly = engine.count(module, a, b)
     record = {"module": str(module), "a": a, "b": b, "polynomial": poly.to_string()}
@@ -178,7 +158,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_table(args) -> int:
-    module = _parse_input(parse_module, args.module)
+    module = parse_module(args.module)
     m, n = module.dim_vector()
     engine = CountingEngine(memoize=not args.no_cache)
     cells = [
@@ -207,8 +187,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    module = _parse_input(parse_module, args.module)
-    cell = None if args.dim is None else _parse_input(_parse_dim, args.dim)
+    module = parse_module(args.module)
+    cell = None if args.dim is None else _parse_dim(args.dim)
     # the oracle's work bound needs only the dimension vector, so an
     # oversized request is refused before any matrix model is built
     check_work(args.prime, *module.dim_vector(), cell)
@@ -248,9 +228,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hall(args) -> int:
-    lam = _parse_input(Partition.parse, args.lam)
-    mu = _parse_input(Partition.parse, args.mu)
-    nu = _parse_input(Partition.parse, args.nu)
+    lam = Partition.parse(args.lam)
+    mu = Partition.parse(args.mu)
+    nu = Partition.parse(args.nu)
     poly = hall_polynomial(lam, nu, mu)
     if args.format == "text":
         print(poly.to_string("x"))
@@ -266,8 +246,8 @@ def cmd_hall(args) -> int:
 
 
 def cmd_homext(args) -> int:
-    x = _parse_input(parse_module, args.x)
-    y = _parse_input(parse_module, args.y)
+    x = parse_module(args.x)
+    y = parse_module(args.y)
     record = {
         "x": str(x),
         "y": str(y),
@@ -342,7 +322,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (ModuleParseError, InputError) as exc:
+    except ModuleParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, RecursionError, AssertionError) as exc:

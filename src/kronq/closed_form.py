@@ -16,7 +16,6 @@ __all__ = [
     "count_preprojective",
     "count_preinjective",
     "count_regular_deg1",
-    "euler_char",
     "euler_char_formula",
     "generalized_binomial",
 ]
@@ -68,19 +67,6 @@ def generalized_binomial(top: int, k: int) -> int:
 
 
 _KINDS = ("preprojective", "preinjective", "regular_deg1")
-
-
-def euler_char(kind: str, index: int, a: int, b: int) -> int:
-    """Euler characteristic: the count polynomial evaluated at q = 1."""
-    if kind == "preprojective":
-        poly = count_preprojective(index, a, b)
-    elif kind == "preinjective":
-        poly = count_preinjective(index, a, b)
-    elif kind == "regular_deg1":
-        poly = count_regular_deg1(index, a, b)
-    else:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    return poly.eval_integer(1)
 
 
 def euler_char_formula(kind: str, index: int, a: int, b: int) -> int:

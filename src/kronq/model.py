@@ -17,6 +17,7 @@ A point degree of 1 may be omitted: ``R(p1,[2,1])`` is a degree-1 point.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Union
@@ -81,10 +82,18 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        text = text.strip()
-        if not text:
+        """Comma-separated parts such as ``3,2,1``; blank text is the empty
+        partition.  Raises :class:`ModuleParseError` at the first bad part."""
+        if not text.strip():
             return cls(())
-        return cls(tuple(int(t) for t in text.split(",")))
+        parts: list[int] = []
+        for x, i in read_ints(text, "partition part"):
+            if x <= 0 or parts and x > parts[-1]:
+                raise ModuleParseError(
+                    "partition parts must be positive and weakly decreasing", i
+                )
+            parts.append(x)
+        return cls(tuple(parts))
 
     @property
     def weight(self) -> int:
@@ -130,11 +139,25 @@ Summand = Union[Preprojective, Preinjective, Regular]
 
 
 class ModuleParseError(ValueError):
-    """Descriptor string rejected, with the offending position."""
+    """Descriptor, partition or dimension text rejected at a position."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+def read_ints(text: str, what: str) -> list[tuple[int, int]]:
+    """The comma-separated integers of text as (value, position) pairs, each
+    an optional sign and decimal digits (those ``int`` reads) with optional
+    spaces around them.  Raises :class:`ModuleParseError` naming ``what``."""
+    out, i = [], 0
+    for piece in text.split(","):
+        m = re.fullmatch(r"\s*([+-]?\d+)\s*", piece)
+        if m is None:
+            raise ModuleParseError(f"expected {what}", i)
+        out.append((int(m[1]), i + m.start(1)))
+        i += len(piece) + 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -398,11 +421,11 @@ def parse_module(text: str) -> KroneckerDescriptor:
             i += 1
             try:
                 part = Partition(tuple(sorted(parts, reverse=True)))
+                piece = KroneckerDescriptor.build(
+                    {}, {}, [(label, degree, sorted(part.parts * mult, reverse=True))]
+                )
             except ValueError as exc:
                 raise ModuleParseError(str(exc), i) from None
-            piece = KroneckerDescriptor.build(
-                {}, {}, [(label, degree, sorted(part.parts * mult, reverse=True))]
-            )
         else:
             raise ModuleParseError(f"unknown summand kind {kind!r}", i)
         try:

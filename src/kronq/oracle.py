@@ -5,9 +5,11 @@ submodules of a given dimension vector directly.  Everything here is
 deliberately independent of the closed formulas and the recursion engine;
 the only import from the counting stack is the integer Gaussian
 coefficient ``gauss_int``, which the tests check against subspace
-enumeration.  ``build_rep`` writes each summand's block in place; its
-points of degree d are the monic irreducibles that a sieve leaves after
-striking every product of a lower-degree irreducible with a monic cofactor.
+enumeration.  ``build_rep`` writes each summand's block in place.  Its
+points of degree d come in lexicographic order from a lazy stream of monic
+irreducibles, each candidate tried against the irreducibles of degree at
+most d/2, and it draws only as many as it uses; Gauss's necklace formula in
+``points_of_degree`` tells beforehand whether F_p has enough of them.
 
 A submodule is a pair (U1, U2) with alpha U2 + beta U2 inside U1.  For each
 vertex-2 subspace U2 the oracle takes the rank w of its images; the U1 that
@@ -41,9 +43,10 @@ built afresh on each call and kept by no cache.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product
+from itertools import chain, combinations, cycle, islice, product
 
 from .model import KroneckerDescriptor, Preinjective, Preprojective
 from .qbinom import gauss_int
@@ -53,6 +56,7 @@ __all__ = [
     "PointCapacityError",
     "build_rep",
     "check_work",
+    "points_of_degree",
     "count_submodules",
     "count_submodules_naive",
     "submodule_table",
@@ -152,33 +156,43 @@ def _subspace_bases(n: int, k: int, p: int) -> tuple[tuple[tuple[int, ...], ...]
 # -- representation builder --------------------------------------------------
 
 
-def _monic_product(f: tuple[int, ...], g: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """(x^e + f)(x^k + g) over F_p, each polynomial an ascending coefficient
-    tuple without its leading 1."""
-    out = [0] * (len(f) + len(g) + 1)
-    for i, x in enumerate(f + (1,)):
-        if x:
-            for j, y in enumerate(g + (1,)):
-                out[i + j] += x * y
-    return tuple(c % p for c in out[:-1])
+def points_of_degree(d: int, q: int) -> int:
+    """Closed points of degree d on the projective line over F_q: q + 1 for
+    d = 1, else the monic irreducibles of degree d.  Those follow from
+    q^e = sum over f | e of f * (irreducibles of degree f), which Moebius
+    inversion turns into Gauss's necklace formula."""
+    if d == 1:
+        return q + 1
+    irreducibles: dict[int, int] = {}  # by degree, over the divisors of d
+    for e in range(1, d + 1):
+        if d % e == 0:
+            lower = sum(f * n for f, n in irreducibles.items() if e % f == 0)
+            irreducibles[e] = (q**e - lower) // e
+    return irreducibles[d]
 
 
-@cache
-def _monic_irreducibles(d: int, p: int) -> tuple[tuple[int, ...], ...]:
+def _divides(f: tuple[int, ...], t: tuple[int, ...], p: int) -> bool:
+    """Whether x^e + f divides x^d + t over F_p, each polynomial an
+    ascending coefficient tuple without its leading 1."""
+    r, e = [*t, 1], len(f)
+    for top in range(len(t), e - 1, -1):
+        c = r[top] % p
+        if c:
+            for i, x in enumerate(f, top - e):
+                r[i] -= c * x
+    return not any(x % p for x in r[:e])
+
+
+def _monic_irreducibles(d: int, p: int) -> Iterator[tuple[int, ...]]:
     """Monic irreducible polynomials of degree d over F_p, as ascending
-    coefficient tuples without the leading 1, in lexicographic order.
-
-    A sieve: a reducible monic polynomial of degree d is the product of a
-    monic irreducible of some degree e <= d/2 with a monic polynomial of
-    degree d - e, so striking every such product leaves the irreducibles.
-    """
-    struck = {
-        _monic_product(f, g, p)
-        for e in range(1, d // 2 + 1)
-        for f in _monic_irreducibles(e, p)
-        for g in product(range(p), repeat=d - e)
-    }
-    return tuple(t for t in product(range(p), repeat=d) if t not in struck)
+    coefficient tuples without the leading 1, lazily and in lexicographic
+    order: a candidate stays when no monic irreducible of degree <= d/2
+    divides it.  Above degree 1 the candidates start at constant term 1,
+    since the others are divisible by x."""
+    divisors = [f for e in range(1, d // 2 + 1) for f in _monic_irreducibles(e, p)]
+    for t in product(range(d > 1, p), *[range(p)] * (d - 1)):
+        if not any(_divides(f, t, p) for f in divisors):
+            yield t
 
 
 def build_rep(module: KroneckerDescriptor, p: int, parameter_shift: int = 0) -> MatrixRep:
@@ -197,9 +211,11 @@ def build_rep(module: KroneckerDescriptor, p: int, parameter_shift: int = 0) -> 
     - at the extra degree-1 point 'inf' the two swap: beta is the identity
       and alpha the nilpotent Jordan block of the polynomial x.
 
-    Distinct labels receive distinct points; ``parameter_shift`` rotates the
-    parameter pools, which must not change any submodule count.  Raises
-    :class:`PointCapacityError` when F_p has too few points of some degree.
+    Distinct labels receive distinct points, drawn in order from the stream
+    of monic irreducibles of their degree (then 'inf' at degree 1);
+    ``parameter_shift`` rotates that cyclic order, which must not change any
+    submodule count.  Raises :class:`PointCapacityError` when
+    ``points_of_degree`` says F_p has too few points of some degree.
     """
     dim = module.dim_vector()
     alpha = [[0] * dim.b for _ in range(dim.a)]
@@ -208,14 +224,14 @@ def build_rep(module: KroneckerDescriptor, p: int, parameter_shift: int = 0) -> 
     assignment = {}  # label -> point, per degree in order of first use
     for deg in dict.fromkeys(d for _, d, _ in module.regular):
         labels = sorted(label for label, d, _ in module.regular if d == deg)
-        pool = list(_monic_irreducibles(deg, p)) + (["inf"] if deg == 1 else [])
-        if len(labels) > len(pool):
+        have = points_of_degree(deg, p)
+        if len(labels) > have:
             raise PointCapacityError(
-                f"F_{p} has only {len(pool)} points of degree {deg}; "
+                f"F_{p} has only {have} points of degree {deg}; "
                 f"descriptor needs {len(labels)}"
             )
-        shift = parameter_shift % len(pool)
-        assignment.update(zip(labels, pool[shift:] + pool[:shift]))
+        pool = chain(_monic_irreducibles(deg, p), ["inf"] if deg == 1 else [])
+        assignment.update(zip(labels, islice(cycle(pool), parameter_shift % have, None)))
 
     r = c = 0  # first row and column of the next summand
     for s in module.summands():

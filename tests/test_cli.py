@@ -11,9 +11,9 @@ import jsonschema
 import pytest
 
 import kronq.cli as cli
-from kronq.cli import _points_of_degree, build_parser, main
+from kronq.cli import build_parser, main
 from kronq.laurent import parse_poly
-from kronq.oracle import _monic_irreducibles
+from kronq.oracle import _monic_irreducibles, points_of_degree
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output-schema.json").read_text()
@@ -114,9 +114,9 @@ def test_count_warns_when_field_has_too_few_points(capsys):
 
 def test_point_counts_match_the_oracle_point_pools():
     for p in (2, 3, 5):
-        assert _points_of_degree(1, p) == p + 1
+        assert points_of_degree(1, p) == p + 1
         for d in range(2, 6):
-            assert _points_of_degree(d, p) == len(list(_monic_irreducibles(d, p)))
+            assert points_of_degree(d, p) == len(list(_monic_irreducibles(d, p)))
 
 
 def test_count_parse_error_exit_2(capsys):
@@ -127,6 +127,45 @@ def test_count_parse_error_exit_2(capsys):
     code, out, err = run(capsys, "count", "-m", "P1", "-d", "1;0")
     assert code == 2
     assert out == ""
+
+
+def test_number_fields_read_only_decimal_digits(capsys):
+    # every partition and dimension field takes an optional sign and the
+    # digits int() reads; any other text is refused at its field's position
+    hall = ["hall", "--mu", "1", "--nu", "2"]
+    for argv, message in [
+        (hall + ["--lambda", "²,1"], "expected partition part (at position 0)"),
+        (hall + ["--lambda", "2,x"], "expected partition part (at position 2)"),
+        (hall + ["--lambda", "2,"], "expected partition part (at position 2)"),
+        (
+            hall + ["--lambda", "2, 3"],
+            "partition parts must be positive and weakly decreasing (at position 3)",
+        ),
+        (
+            hall + ["--lambda", "2,0"],
+            "partition parts must be positive and weakly decreasing (at position 2)",
+        ),
+        (["count", "-m", "P1", "-d", "3_0,1"], "expected dimension (at position 0)"),
+        (["count", "-m", "P1", "-d", "1,²"], "expected dimension (at position 2)"),
+        (["count", "-m", "P1", "-d", "1;0"], "expected dimension (at position 0)"),
+        (
+            ["count", "-m", "P1", "-d", "1,0,2"],
+            "dimension must be 'a,b', got '1,0,2' (at position 4)",
+        ),
+        (
+            ["verify", "-m", "P1", "-p", "2", "-d", "1"],
+            "dimension must be 'a,b', got '1' (at position 1)",
+        ),
+        (
+            ["count", "-m", "R(p@0,[1])", "-d", "1,1"],
+            "point degrees must be positive (at position 10)",
+        ),
+    ]:
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+    assert run(capsys, "count", "-m", "P1", "-d=-1,0") == (0, "0\n", "")
+    assert run(capsys, "count", "-m", "P1", "-d", " 1, +0 ") == (0, "q + 1\n", "")
+    hall = ["hall", "--lambda", " 2 ,1", "--mu", "1", "--nu", "1,1"]
+    assert run(capsys, *hall) == (0, "1\n", "")
 
 
 def test_table_corners(capsys):

@@ -1,4 +1,5 @@
 import gc
+import random
 import sys
 import weakref
 from collections import Counter
@@ -370,19 +371,67 @@ def test_q1_convolution_on_random_modules():
     check()
 
 
+def _splits(blocks) -> bool:
+    """Whether the engine's table of the sum of blocks is their split
+    convolution: with Ext^1(N, M) = 0 and m = dim M, count(M + N, e) is the
+    sum over e' + e'' = e of q^<e'', m - e'> count(M, e') count(N, e'')."""
+    table, dim, whole = {(0, 0): ONE}, DimVector(0, 0), KroneckerDescriptor()
+    for block in blocks:
+        out = {}
+        for (a, b), x in table.items():
+            for a2, b2 in _cells(block):
+                y = count(block, a2, b2)
+                if x and y:
+                    twist = euler_form(DimVector(a2, b2), DimVector(dim.a - a, dim.b - b))
+                    key = (a + a2, b + b2)
+                    out[key] = out.get(key, ZERO) + (x * y).shift(twist)
+        table, dim, whole = out, dim + block.dim_vector(), whole + block
+    return all(count(whole, a, b) == table.get((a, b), ZERO) for a, b in _cells(whole))
+
+
+def test_direct_sums_split_by_the_euler_form():
+    # Ext^1 vanishes from every later block into every earlier one when the
+    # I_n come ascending, then each tube whole, then the P_n descending
+    rng = random.Random(0)
+    for _ in range(40):
+        ps, is_, tubes = [], [], {("p", 1): [], ("x", 2): []}
+        for _ in range(rng.randint(2, 3)):
+            kind = rng.choice(["P", "I", ("p", 1), ("x", 2)])
+            if kind in ("P", "I"):
+                (ps if kind == "P" else is_).append(rng.randint(0, 4))
+            else:
+                tubes[kind].append(rng.randint(1, 4 - kind[1]))
+        blocks = [preinjective(n) for n in sorted(is_)]
+        blocks += [regular(sorted(t, reverse=True), *k) for k, t in tubes.items() if t]
+        blocks += [preprojective(n) for n in sorted(ps, reverse=True)]
+        assert _splits(blocks), blocks
+    # Ext^1(I1, P1) and Ext^1(P2, R(p,[2])) are not 0, so the reversed
+    # orders fail
+    for first, second in [("I1", "P1"), ("R(p,[2])", "P2")]:
+        blocks = [parse_module(first), parse_module(second)]
+        assert _splits(blocks) and not _splits(blocks[::-1]), first
+
+
 def test_rigid_counts_have_the_grassmannian_degree():
-    # Gr_e(M) of a rigid M is empty or smooth of dimension <e, alpha - e>;
-    # the rigid sums are those of P_n and P_(n+1), or of I_n and I_(n+1)
-    for n in range(5):
-        for s in range(3):
-            for t in range(0 if s else 1, 3):
-                pp = KroneckerDescriptor.build({n: s, n + 1: t})
-                for m in (pp, _dual(pp)):
-                    assert ext_dim(m, m) == 0, m
-                    for a, b in _cells(m):
-                        value = count(m, a, b)
-                        if not value.is_zero:
-                            assert value.lo + len(value.cs) - 1 == _grassmannian_dim(m, a, b), (m, a, b)
+    # Gr_e(M) of a rigid M is empty or smooth and projective of dimension
+    # <e, alpha - e>, so by purity and Poincare duality a nonzero count is a
+    # palindrome with constant term 1; the rigid sums are those of P_n and
+    # P_(n+1), or of I_n and I_(n+1)
+    rigid = [
+        KroneckerDescriptor.build({n: s, n + 1: t})
+        for n in range(5)
+        for s in range(3)
+        for t in range(0 if s else 1, 3)
+    ]
+    for pp in rigid + [parse_module("3*P1 + P2")]:
+        for m in (pp, _dual(pp)):
+            assert ext_dim(m, m) == 0, m
+            for a, b in _cells(m):
+                value = count(m, a, b)
+                if not value.is_zero:
+                    cs = list(value.cs)
+                    assert value.lo + len(cs) - 1 == _grassmannian_dim(m, a, b), (m, a, b)
+                    assert value.lo == 0 and cs[0] == 1 and cs == cs[::-1], (m, a, b)
 
 
 def test_counts_have_at_least_the_expected_degree():

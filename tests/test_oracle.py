@@ -1,7 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
+import kronq.oracle as oracle
 from kronq.model import parse_module
 from kronq.oracle import (
     MatrixRep,
@@ -63,11 +65,66 @@ def test_quadratic_and_cubic_pool_polynomials_have_no_root():
     # a quadratic or cubic without a root in F_p is irreducible
     for p in (2, 3, 5, 7):
         for d in (2, 3):
-            pool = _monic_irreducibles(d, p)
-            assert list(pool) == sorted(set(pool)), (d, p)
+            pool = list(_monic_irreducibles(d, p))
+            assert pool == sorted(set(pool)), (d, p)
             for tail in pool:
                 for x in range(p):
                     assert (x**d + sum(c * x**i for i, c in enumerate(tail))) % p, (tail, x)
+
+
+def _monic_times(f, g, p):
+    """(x^e + f)(x^k + g) over F_p, as an ascending tail without its 1."""
+    out = [0] * (len(f) + len(g) + 1)
+    for i, x in enumerate(f + (1,)):
+        for j, y in enumerate(g + (1,)):
+            out[i + j] += x * y
+    return tuple(c % p for c in out[:-1])
+
+
+def test_point_stream_is_every_irreducible_in_order():
+    # a sieve: a monic polynomial of degree d is reducible exactly when it
+    # is a monic irreducible of some degree e <= d/2 times a monic cofactor
+    for p in (2, 3, 5, 7):
+        irreducible = {}
+        d = 1
+        while p**d <= 3000:
+            reducible = {
+                _monic_times(f, g, p)
+                for e in range(1, d // 2 + 1)
+                for f in irreducible[e]
+                for g in product(range(p), repeat=d - e)
+            }
+            want = [t for t in product(range(p), repeat=d) if t not in reducible]
+            assert list(_monic_irreducibles(d, p)) == want, (d, p)
+            irreducible[d] = want
+            d += 1
+
+
+def test_a_model_draws_only_the_points_it_uses(monkeypatch):
+    # one point of degree 8 over F_5 needs the first irreducible octic, not
+    # all 5^8 candidates
+    drawn = []
+
+    def counted(*args, **kwargs):
+        for t in product(*args, **kwargs):
+            drawn.append(len(t))
+            yield t
+
+    monkeypatch.setattr(oracle, "product", counted)
+    build_rep(parse_module("R(x@8,[1])"), 5)
+    assert 0 < drawn.count(8) < 50
+
+
+def test_parameter_shift_wraps_around_the_pool():
+    # over F_2 the degree-1 pool is x, x + 1, 'inf'; a shift of 2 puts p at
+    # 'inf' and wraps q round to x
+    m = parse_module("R(p,[1]) + R(q,[1])")
+    reps = [build_rep(m, 2, parameter_shift=s) for s in range(7)]
+    assert reps[:4] == reps[3:]
+    assert (reps[2].alpha, reps[2].beta) == (((0, 0), (0, 1)), ((1, 0), (0, 0)))
+    assert reps[0] != reps[1] != reps[2] != reps[0]
+    m = parse_module("R(p@2,[1])")  # a pool of one
+    assert len({build_rep(m, 2, parameter_shift=s) for s in range(3)}) == 1
 
 
 def test_submodule_counts():
@@ -132,12 +189,14 @@ def test_counts_independent_of_point_assignment():
 
 
 def test_point_capacity():
-    with pytest.raises(PointCapacityError):
+    with pytest.raises(PointCapacityError) as err:
         build_rep(parse_module("R(a,[1]) + R(b,[1]) + R(c,[1]) + R(d,[1])"), 2)
+    assert str(err.value) == "F_2 has only 3 points of degree 1; descriptor needs 4"
     # F_3 hosts four degree-1 points
     build_rep(parse_module("R(a,[1]) + R(b,[1]) + R(c,[1]) + R(d,[1])"), 3)
-    with pytest.raises(PointCapacityError):
+    with pytest.raises(PointCapacityError) as err:
         build_rep(parse_module("R(a@2,[1]) + R(b@2,[1])"), 2)
+    assert str(err.value) == "F_2 has only 1 points of degree 2; descriptor needs 2"
     build_rep(parse_module("R(a@2,[1]) + R(b@2,[1])"), 3)
 
 
