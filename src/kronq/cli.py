@@ -15,7 +15,9 @@ subspaces, refused from the dimension vector before any matrix model is
 built, a module too deep for the interpreter's recursion limit, and an
 engine value that fails its polynomial check), 2 parse error, 3
 evaluation point is not a prime power (result still printed), 4
-verification mismatch.  Errors go to stderr only, as one line.
+verification mismatch.  Errors go to stderr only, as one line, and
+running out of memory is ``error: out of memory`` with exit 1.  A reader
+that closes stdout early (``kronq ... | head``) gets exit 1 and no message.
 
 ``count --at q`` with a prime power q also prints one ``warning:`` line on
 stderr when the module uses more points of some degree d than the
@@ -30,6 +32,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .engine import CountingEngine
@@ -228,9 +231,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hall(args) -> int:
-    lam = Partition.parse(args.lam)
-    mu = Partition.parse(args.mu)
-    nu = Partition.parse(args.nu)
+    parts = []
+    for flag, text in (("--lambda", args.lam), ("--mu", args.mu), ("--nu", args.nu)):
+        try:
+            parts.append(Partition.parse(text))
+        except ModuleParseError as exc:
+            raise ModuleParseError(f"{flag}: {exc.message}", exc.position) from None
+    lam, mu, nu = parts
     poly = hall_polynomial(lam, nu, mu)
     if args.format == "text":
         print(poly.to_string("x"))
@@ -321,12 +328,22 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
     except ModuleParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, RecursionError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # the reader is gone: send what stdout still buffers to devnull, so
+        # the interpreter's flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
 
 

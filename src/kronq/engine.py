@@ -45,7 +45,12 @@ never from vanishing of the Gaussian factor: with a negative upper argument
 the Gaussian is nonzero, +-q^k times an ordinary Gaussian coefficient with
 one sign throughout, and dropping such terms would corrupt the result.
 Negative exponents cancel across the sum; every computed value is checked
-to be an honest polynomial with nonnegative coefficients.
+to be an honest polynomial with nonnegative coefficients.  The window also
+ends where the reflected module's first defect-bound rule starts answering
+0.  One step is a single :func:`~kronq.laurent.sum_of_products`, one
+big-int accumulator with limbs sized from the bound sum (sum|g_i|)(sum|h_j|)
+on every coefficient and unpacked with signed digits, so a coefficient that
+failed to cancel comes back negative and the check catches it.
 
 A deep count visits at most a few hundred descriptors, hundreds of
 thousands of times, so the engine derives what it needs from a descriptor
@@ -67,7 +72,7 @@ from .closed_form import (
     count_regular_deg1,
 )
 from .hall import regular_diagonal_count
-from .laurent import ONE, ZERO, LaurentPoly
+from .laurent import ONE, ZERO, LaurentPoly, sum_of_products
 from .model import (
     KroneckerDescriptor,
     Preinjective,
@@ -251,18 +256,13 @@ class CountingEngine:
     def _recursion_a(self, rec: _Record, a: int, b: int) -> LaurentPoly:
         refl = self._down_a(rec)
         l = a - b
-        c_lo = max(0, l - b)
-        c_hi = refl.n - (b - l)
-        total = ZERO
-        for c in range(c_lo, c_hi + 1):
+        terms = []
+        # past c = l + refl.t every cell breaks refl's first defect-bound rule
+        for c in range(max(0, l - b), min(refl.n - (b - l), l + refl.t) + 1):
             sub = self._count(refl, a - l, b - l + c)
-            if sub.is_zero:
-                continue
-            g = gauss(c, rec.m - 2 * b)
-            if g.is_zero:
-                continue
-            total = total + (g * sub).shift(c * (b - l + c))
-        return total
+            if sub:
+                terms.append((gauss(c, rec.m - 2 * b), sub, c * (b - l + c)))
+        return sum_of_products(terms)
 
 
 _DEFAULT = CountingEngine()

@@ -6,60 +6,114 @@ A polynomial is stored densely as its lowest exponent ``lo`` and the tuple
 ``cs`` of coefficients of q^lo, q^(lo+1), ...  Polynomials are kept in
 canonical form: the first and last entries of ``cs`` are nonzero and zero is
 ``(0, ())``, so equal values always have identical pairs.
+
+Large products and sums of products pack each coefficient list into one int
+of signed limbs (1, 2, 4 or 8 bytes through :mod:`array`, wider ones byte by
+byte) and do one big-int computation; the limbs are sized from a bound on
+every coefficient of the result, so none overflows.
 """
 
 from __future__ import annotations
 
+from array import array
 from math import gcd
 from operator import add
+from sys import byteorder
 
-__all__ = ["LaurentPoly", "PolyParseError", "parse_poly", "ZERO", "ONE", "Q"]
+__all__ = ["LaurentPoly", "PolyParseError", "parse_poly", "sum_of_products", "ZERO", "ONE", "Q"]
 
 # Products whose shorter factor has more terms than this go through the
 # packed-integer convolution below instead of the schoolbook loop.  Measured
 # on the products the benchmark workloads make, packing starts to win at 13
-# to 16 terms, depending on the workload (table in CHANGES.md).
+# to 16 terms, depending on the workload (table in CHANGES.md); sums of
+# products start to win at 100 to 200 coefficient pairs, so they take the
+# square as their cutoff.
 _PACK_THRESHOLD = 14
 
+# array type code of each signed limb width, chosen by itemsize because the
+# sizes of 'i' and 'l' vary by platform
+_CODES = {array(code).itemsize: code for code in "bhilq"}
 
-def _pack(vals: list[int], width: int) -> int:
-    """Encode a list of small nonnegative ints as one big int, little endian."""
-    return int.from_bytes(
-        b"".join(v.to_bytes(width, "little") for v in vals), "little"
-    )
+
+def _limb_width(bound: int) -> int:
+    """Bytes per limb holding any int of absolute value <= bound with a sign
+    bit: 1, 2, 4 or 8, or the exact byte count beyond 8."""
+    width = bound.bit_length() // 8 + 1
+    return width if width > 8 else 1 << (width - 1).bit_length()
+
+
+def _bias(width: int, count: int) -> int:
+    """The int whose ``count`` limbs of ``width`` bytes hold their top bit."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(vals, width: int) -> int:
+    """sum_i vals[i] * 2^(8 * width * i), for |vals[i]| < 2^(8 * width - 1).
+
+    The bytes read as the int Y of limbs vals[i] in two's complement;
+    flipping each top bit adds the bias B to every value, so X = (Y ^ B) - B.
+    """
+    code = _CODES.get(width)
+    if code is None:
+        raw = b"".join(v.to_bytes(width, "little", signed=True) for v in vals)
+    else:
+        limbs = array(code, vals)
+        if byteorder == "big":
+            limbs.byteswap()
+        raw = limbs.tobytes()
+    bias = _bias(width, len(vals))
+    return (int.from_bytes(raw, "little") ^ bias) - bias
 
 
 def _unpack(n: int, width: int, count: int) -> list[int]:
-    buf = n.to_bytes(width * count, "little")
-    return [
-        int.from_bytes(buf[i * width : (i + 1) * width], "little")
-        for i in range(count)
-    ]
+    """The ``count`` signed limbs of n, the inverse of :func:`_pack`.  Adding
+    the bias makes every limb nonnegative (balanced digits), and flipping the
+    top bits back leaves two's complement."""
+    bias = _bias(width, count)
+    raw = ((n + bias) ^ bias).to_bytes(width * count, "little")
+    code = _CODES.get(width)
+    if code is None:
+        chunks = range(0, len(raw), width)
+        return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in chunks]
+    limbs = array(code, raw)
+    if byteorder == "big":
+        limbs.byteswap()
+    return limbs.tolist()
+
+
+def _packed_sum(terms, count: int) -> list[int]:
+    """The ``count`` coefficients of sum_t xs_t * ys_t * q^at_t over the
+    (xs, ys, at) of terms, at >= 0, as one big-int sum of packed products.
+    Every coefficient is at most sum_t sum|xs_t| * sum|ys_t| in absolute
+    value, and the limbs are wide enough for that bound."""
+    width = _limb_width(sum(sum(map(abs, xs)) * sum(map(abs, ys)) for xs, ys, _ in terms))
+    acc = sum(_pack(xs, width) * _pack(ys, width) << 8 * width * at for xs, ys, at in terms)
+    return _unpack(acc, width, count)
 
 
 def _convolve(xs, ys) -> list[int]:
-    """Exact integer convolution via Kronecker substitution.
+    """Exact integer convolution via Kronecker substitution."""
+    return _packed_sum([(xs, ys, 0)], len(xs) + len(ys) - 1)
 
-    Every limb holds its coefficient plus half the limb's range, so signed
-    lists pack as nonnegative limbs; the bias is taken off each packed
-    factor, the two are multiplied once, and the product's bias is added
-    back before one unpack.  ``bound`` bounds every coefficient of the
-    product, and the limb width makes ``half`` exceed it, so no biased
-    coefficient leaves its limb.
+
+def sum_of_products(terms) -> "LaurentPoly":
+    """sum of g * h * q^s over the triples (g, h, s) of ``terms``, exactly.
+
+    Two or more nonzero products add up in one big-int accumulator
+    (Kronecker substitution, Harvey, arXiv:0712.4046) that is unpacked once
+    with signed digits, so negative coefficients come back exactly.  A
+    single product, or terms with at most _PACK_THRESHOLD^2 coefficient
+    pairs in all, where packing costs more than it saves, take ordinary
+    multiplications.
     """
-    bound = max(map(abs, xs)) * max(map(abs, ys)) * min(len(xs), len(ys))
-    width = bound.bit_length() // 8 + 1
-    half = 1 << (8 * width - 1)
-    limb = half.to_bytes(width, "little")
-
-    def packed(vals):
-        return _pack([v + half for v in vals], width) - int.from_bytes(
-            limb * len(vals), "little"
-        )
-
-    count = len(xs) + len(ys) - 1
-    prod = packed(xs) * packed(ys) + int.from_bytes(limb * count, "little")
-    return [v - half for v in _unpack(prod, width, count)]
+    terms = [(g, h, s) for g, h, s in terms if g.cs and h.cs]
+    pairs = sum(len(g.cs) * len(h.cs) for g, h, _ in terms)
+    if len(terms) < 2 or pairs <= _PACK_THRESHOLD**2:
+        return sum(((g * h).shift(s) for g, h, s in terms), ZERO)
+    lo = min(g.lo + h.lo + s for g, h, s in terms)
+    top = max(g.lo + h.lo + s + len(g.cs) + len(h.cs) - 1 for g, h, s in terms)
+    packed = [(g.cs, h.cs, g.lo + h.lo + s - lo) for g, h, s in terms]
+    return LaurentPoly.dense(lo, _packed_sum(packed, top - lo))
 
 
 class LaurentPoly:

@@ -143,19 +143,21 @@ class ModuleParseError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
 def read_ints(text: str, what: str) -> list[tuple[int, int]]:
     """The comma-separated integers of text as (value, position) pairs, each
     an optional sign and decimal digits (those ``int`` reads) with optional
-    spaces around them.  Raises :class:`ModuleParseError` naming ``what``."""
+    spaces around them.  Raises :class:`ModuleParseError` naming ``what``
+    at the first character that does not fit."""
     out, i = [], 0
     for piece in text.split(","):
-        m = re.fullmatch(r"\s*([+-]?\d+)\s*", piece)
-        if m is None:
-            raise ModuleParseError(f"expected {what}", i)
-        out.append((int(m[1]), i + m.start(1)))
+        m = re.match(r"\s*([+-]?)(?:(\d+)\s*)?", piece)
+        if m[2] is None or m.end() < len(piece):
+            raise ModuleParseError(f"expected {what}", i + m.end())
+        out.append((int(m[1] + m[2]), i + m.start(1)))
         i += len(piece) + 1
     return out
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cache
 from math import comb
 
-from .laurent import ONE, ZERO, LaurentPoly, _unpack
+from .laurent import ONE, ZERO, LaurentPoly, _limb_width, _unpack
 
 __all__ = ["gauss", "gauss_int"]
 
@@ -49,7 +49,7 @@ def gauss(l: int, a: int) -> LaurentPoly:
     if a < l:
         return ZERO
     l = min(l, a - l)
-    width = (comb(a, l).bit_length() + 7) // 8
+    width = _limb_width(comb(a, l))
     row = [1] * (l + 1)
     for _ in range(a - l):
         for j in range(1, l + 1):

@@ -131,23 +131,34 @@ def test_count_parse_error_exit_2(capsys):
 
 def test_number_fields_read_only_decimal_digits(capsys):
     # every partition and dimension field takes an optional sign and the
-    # digits int() reads; any other text is refused at its field's position
+    # digits int() reads; any other text is refused at its first character
+    # that does not fit, and a partition error names its option
     hall = ["hall", "--mu", "1", "--nu", "2"]
     for argv, message in [
-        (hall + ["--lambda", "²,1"], "expected partition part (at position 0)"),
-        (hall + ["--lambda", "2,x"], "expected partition part (at position 2)"),
-        (hall + ["--lambda", "2,"], "expected partition part (at position 2)"),
+        (hall + ["--lambda", "²,1"], "--lambda: expected partition part (at position 0)"),
+        (hall + ["--lambda", "2,x"], "--lambda: expected partition part (at position 2)"),
+        (hall + ["--lambda", "2,"], "--lambda: expected partition part (at position 2)"),
+        (hall + ["--lambda", "2, +"], "--lambda: expected partition part (at position 4)"),
         (
             hall + ["--lambda", "2, 3"],
-            "partition parts must be positive and weakly decreasing (at position 3)",
+            "--lambda: partition parts must be positive and weakly decreasing (at position 3)",
         ),
         (
             hall + ["--lambda", "2,0"],
-            "partition parts must be positive and weakly decreasing (at position 2)",
+            "--lambda: partition parts must be positive and weakly decreasing (at position 2)",
         ),
-        (["count", "-m", "P1", "-d", "3_0,1"], "expected dimension (at position 0)"),
+        (
+            ["hall", "--lambda", "2", "--mu", "x", "--nu", "1"],
+            "--mu: expected partition part (at position 0)",
+        ),
+        (
+            ["hall", "--lambda", "2", "--mu", "1", "--nu", "1 1"],
+            "--nu: expected partition part (at position 2)",
+        ),
+        (["count", "-m", "P1", "-d", "3_0,1"], "expected dimension (at position 1)"),
         (["count", "-m", "P1", "-d", "1,²"], "expected dimension (at position 2)"),
-        (["count", "-m", "P1", "-d", "1;0"], "expected dimension (at position 0)"),
+        (["count", "-m", "P1", "-d", "1;0"], "expected dimension (at position 1)"),
+        (["count", "-m", "P1", "-d", "1, -x"], "expected dimension (at position 4)"),
         (
             ["count", "-m", "P1", "-d", "1,0,2"],
             "dimension must be 'a,b', got '1,0,2' (at position 4)",
@@ -166,6 +177,26 @@ def test_number_fields_read_only_decimal_digits(capsys):
     assert run(capsys, "count", "-m", "P1", "-d", " 1, +0 ") == (0, "q + 1\n", "")
     hall = ["hall", "--lambda", " 2 ,1", "--mu", "1", "--nu", "1,1"]
     assert run(capsys, *hall) == (0, "1\n", "")
+
+
+def test_out_of_memory_and_closed_stdout_end_in_exit_1(capsys, monkeypatch):
+    # str(MemoryError()) is empty, so it gets its own one-line message
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.CountingEngine, "count", exhausted)
+    assert run(capsys, "count", "-m", "P1", "-d", "1,0") == (1, "", "error: out of memory\n")
+    monkeypatch.undo()
+    # a reader that is gone: the write fails with EPIPE, main says nothing,
+    # and the output still buffered goes to devnull, not to the dead pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as gone:
+        monkeypatch.setattr(sys, "stdout", gone)
+        assert main(["count", "-m", "P1", "-d", "1,0"]) == 1
+        gone.write("x" * 100_000)
+        gone.flush()
+    assert capsys.readouterr().err == ""
 
 
 def test_table_corners(capsys):

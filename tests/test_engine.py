@@ -13,7 +13,7 @@ from kronq.closed_form import (
     euler_char_formula,
 )
 from kronq.engine import CountingEngine, count
-from kronq.laurent import ONE, ZERO, parse_poly
+from kronq.laurent import ONE, ZERO, parse_poly, sum_of_products
 from kronq.model import (
     DimVector,
     KroneckerDescriptor,
@@ -28,6 +28,7 @@ from kronq.model import (
     regular,
 )
 from kronq.oracle import build_rep, count_submodules, submodule_table
+from kronq.qbinom import gauss
 
 
 def test_guards_and_corners():
@@ -455,6 +456,44 @@ def test_deep_rigid_count_memoizes_only_its_nonzero_cells():
     # one nonzero cell per reflection step; the vanishing rules answer the
     # other cells before the memo
     assert sum(len(rec.memo) for rec in engine._records if rec.memo is not None) <= 200
+
+
+def test_recursion_window_stops_at_the_defect_bound(monkeypatch):
+    # past c = l + t the reflected cell has b - a > t, which the first
+    # defect-bound rule answers 0; the summation window never reaches it
+    calls = []
+    inner = CountingEngine._count
+
+    def counted(self, rec, a, b):
+        calls.append(b - a > rec.t)
+        return inner(self, rec, a, b)
+
+    monkeypatch.setattr(CountingEngine, "_count", counted)
+    CountingEngine().count(parse_module("P60 + P59"), 50, 25)
+    assert not any(calls)
+    assert len(calls) < 3000  # 70,122 with the window up to N's dimension
+
+
+def test_a_fused_sum_that_leaves_a_negative_term_is_refused(monkeypatch):
+    import kronq.engine as engine
+    import kronq.laurent as laurent
+
+    sizes = []
+
+    def spied(terms):
+        sizes.append(len(terms))
+        return sum_of_products(terms)
+
+    def wrong_sign(l, a):
+        return -gauss(l, a) if l == 1 else gauss(l, a)
+
+    # a cutoff of 0 packs every sum of two or more terms, however small
+    monkeypatch.setattr(laurent, "_PACK_THRESHOLD", 0)
+    monkeypatch.setattr(engine, "sum_of_products", spied)
+    monkeypatch.setattr(engine, "gauss", wrong_sign)
+    with pytest.raises(AssertionError, match=r"^count\(P1 \+ P2, 5, 2\) produced -q\^2 - q - 1; "):
+        CountingEngine().count(parse_module("P2 + P1"), 5, 2)
+    assert sizes[-1] == 2
 
 
 def _defect_bound(m: KroneckerDescriptor) -> int:

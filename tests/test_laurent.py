@@ -3,7 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from kronq.laurent import ONE, Q, ZERO, LaurentPoly, PolyParseError, _convolve, parse_poly
+from kronq import laurent
+from kronq.laurent import (
+    ONE,
+    Q,
+    ZERO,
+    LaurentPoly,
+    PolyParseError,
+    _convolve,
+    _limb_width,
+    _pack,
+    _unpack,
+    parse_poly,
+    sum_of_products,
+)
 
 
 def test_cancellation_and_basic_ring_ops():
@@ -90,6 +103,73 @@ def test_convolve_matches_double_loop():
             for j, y in enumerate(ys):
                 expected[i + j] += x * y
         assert _convolve(xs, ys) == expected
+
+
+def test_limbs_hold_signed_values_up_to_each_width():
+    for k, width in ((7, 1), (15, 2), (31, 4), (63, 8), (71, 9), (127, 16)):
+        assert _limb_width(2**k - 1) == width
+        assert _limb_width(2**k) > width
+        top = 2**k
+        # extreme values next to each other, so every borrow and carry shows
+        vals = [top - 1, -top, 0, -1, 1, -top, top - 1, 1 - top, -1]
+        assert _unpack(_pack(vals, width), width, len(vals)) == vals
+        assert _pack(vals, width) == sum(v << 8 * width * i for i, v in enumerate(vals))
+
+
+def _sum_by_double_loop(terms):
+    out = {}
+    for g, h, s in terms:
+        for e1, v1 in g.items():
+            for e2, v2 in h.items():
+                out[e1 + e2 + s] = out.get(e1 + e2 + s, 0) + v1 * v2
+    return LaurentPoly(out)
+
+
+def test_sum_of_products_at_each_limb_boundary(monkeypatch):
+    # two terms that add up to one coefficient v: the bound is exactly |v|,
+    # so v = 2^k - 1 fills the widest limb value and v = 2^k needs a wider
+    # limb; a cutoff of 0 sends even these small terms through the packing
+    monkeypatch.setattr(laurent, "_PACK_THRESHOLD", 0)
+    for k in (7, 15, 31, 63, 64, 80):
+        for v in (2**k - 1, 2**k, 2**k + 1):
+            for sign in (1, -1):
+                x = v // 3
+                terms = [
+                    (LaurentPoly.const(sign * x), Q, -2),
+                    (LaurentPoly.monomial(-3, sign * (v - x)), Q, 1),
+                ]
+                assert sum_of_products(terms) == LaurentPoly.monomial(-1, sign * v)
+    assert sum_of_products([]) == ZERO
+    assert sum_of_products([(ZERO, Q, 1), (Q, ZERO, 2)]) == ZERO
+
+
+def test_sum_of_products_matches_the_schoolbook_loop(monkeypatch):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    edges = [s * (2**k + d) for k in (7, 15, 31, 63) for d in (-1, 0, 1) for s in (1, -1)]
+    coeff = st.one_of(
+        st.integers(-9, 9), st.sampled_from(edges), st.integers(-(2**90), 2**90)
+    )
+    poly = st.builds(LaurentPoly.dense, st.integers(-8, 8), st.lists(coeff, max_size=6))
+    terms = st.lists(st.tuples(poly, poly, st.integers(-12, 12)), max_size=4)
+
+    default = laurent._PACK_THRESHOLD
+
+    @hyp.settings(max_examples=80, deadline=None, database=None)
+    @hyp.given(terms, st.booleans())
+    def check(terms, cancel):
+        if cancel:
+            terms = terms + [(g, -h, s) for g, h, s in terms]
+        expected = _sum_by_double_loop(terms)
+        # with a cutoff of 0 every sum of two or more terms, and every
+        # product, is packed
+        for cutoff in (default, 0):
+            monkeypatch.setattr(laurent, "_PACK_THRESHOLD", cutoff)
+            got = sum_of_products(terms)
+            assert got == expected
+            assert not cancel or (got.lo, got.cs) == (0, ())
+
+    check()
 
 
 def test_eval_exact():
