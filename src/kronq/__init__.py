@@ -20,7 +20,6 @@ from .model import (
     DimVector,
     KroneckerDescriptor,
     ModuleParseError,
-    Partition,
     Preinjective,
     Preprojective,
     Regular,

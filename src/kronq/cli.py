@@ -12,7 +12,9 @@ Output formats: text (default), json, csv.  Exit codes: 0 success, 1
 runtime error (including unrealizable verification requests, a
 verification whose oracle would walk more than 10^6 vertex-2 vectors and
 subspaces, refused from the dimension vector before any matrix model is
-built, a module too deep for the interpreter's recursion limit, and an
+built, a ``count --at q`` whose prime-power test would need a primality
+proof beyond the range of its Miller-Rabin bases, refused before any
+counting, a module too deep for the interpreter's recursion limit, and an
 engine value that fails its polynomial check), 2 parse error, 3
 evaluation point is not a prime power (result still printed), 4
 verification mismatch.  Errors go to stderr only, as one line, and
@@ -21,8 +23,8 @@ that closes stdout early (``kronq ... | head``) gets exit 1 and no message.
 
 ``count --at q`` with a prime power q also prints one ``warning:`` line on
 stderr when the module uses more points of some degree d than the
-projective line over F_q has; that count is the oracle's
-``points_of_degree``, the one that bounds the points of its matrix models.
+projective line over F_q has; that check is the oracle's
+``point_shortfalls``, the one that bounds the points of its matrix models.
 stdout and the exit code are the same as without the warning.
 """
 
@@ -32,6 +34,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -39,17 +42,17 @@ from .engine import CountingEngine
 from .hall import hall_polynomial
 from .model import (
     ModuleParseError,
-    Partition,
     ext_dim,
     hom_dim,
     parse_module,
+    parse_partition,
     read_ints,
 )
 from .oracle import (
     build_rep,
     check_work,
     count_submodules,
-    points_of_degree,
+    point_shortfalls,
     submodule_table,
 )
 
@@ -60,34 +63,60 @@ EXIT_BAD_POINT = 3
 EXIT_MISMATCH = 4
 
 
+# the first 13 primes; as Miller-Rabin bases they decide primality of every
+# n below _MR_PROVEN, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN = 3317044064679887385961981
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by Newton's method from above.  The
+    start comes from the float log2(n), raised past its rounding error, so
+    that large k need not shrink it step by step from a power of 2."""
+    e = math.log2(n) / k
+    s = max(int(e) - 52, 0)
+    x = (int(2 ** (e - s) * (1 + 2**-30)) + 1) << s
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
 def _is_prime_power(n: int) -> bool:
+    """Whether n = r^k with r prime.  Raises ``ValueError`` when that needs
+    a primality proof of some r >= _MR_PROVEN, which the bases cannot give."""
     if n < 2:
         return False
-    for p in range(2, n + 1):
-        if p * p > n:
-            return True  # n itself is prime
+    for p in _MR_BASES:
         if n % p == 0:
             while n % p == 0:
                 n //= p
             return n == 1
-    return False
-
-
-def _unrealizable_degrees(module, q: int) -> list[str]:
-    """One note per point degree that F_q has too few points for."""
-    used: dict[int, int] = {}
-    for _, degree, _ in module.regular:
-        used[degree] = used.get(degree, 0) + 1
-    notes = []
-    for degree, n in sorted(used.items()):
-        # for d >= 4 there are at least q^d / (2d) >= 2^(d-1) / d points,
-        # so a large degree needs no exact count (nor a huge power of q)
-        if degree >= 4 and degree - 1 >= (degree * n).bit_length():
+    # every prime factor exceeds 41 > 2^5, so n = r^k has k <= bits / 5; the
+    # largest such k leaves a root r that is no perfect power (k = 1 fits)
+    for k in range(n.bit_length() // 5, 0, -1):
+        r = _iroot(n, k)
+        if r**k == n:
+            break
+    d, s = r - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, r)
+        if x == 1 or x == r - 1:
             continue
-        have = points_of_degree(degree, q)
-        if n > have:
-            notes.append(f"{n} points of degree {degree}, F_{q} has {have}")
-    return notes
+        for _ in range(s - 1):
+            x = x * x % r
+            if x == r - 1:
+                break
+        else:
+            return False  # a witnesses that r is composite
+    if r >= _MR_PROVEN:
+        raise ValueError(
+            f"cannot decide whether {n} is a prime power: {r} passes all 13 "
+            f"Miller-Rabin bases, which prove primality only below {_MR_PROVEN}"
+        )
+    return True
 
 
 def _emit(records: list[dict], fields: list[str], fmt: str, title: str | None = None):
@@ -121,6 +150,8 @@ def _parse_dim(text: str) -> tuple[int, int]:
 def cmd_count(args) -> int:
     module = parse_module(args.module)
     a, b = _parse_dim(args.dim)
+    # decided before counting, so an undecidable q is refused at once
+    prime_power = args.at is not None and _is_prime_power(args.at)
     engine = CountingEngine(memoize=not args.no_cache)
     poly = engine.count(module, a, b)
     record = {"module": str(module), "a": a, "b": b, "polynomial": poly.to_string()}
@@ -130,7 +161,7 @@ def cmd_count(args) -> int:
         record["at"] = args.at
         record["value"] = poly.eval_integer(args.at)
         fields += ["at", "value"]
-        if not _is_prime_power(args.at):
+        if not prime_power:
             print(
                 f"warning: {args.at} is not a prime power >= 2; "
                 "the value does not count anything",
@@ -138,7 +169,10 @@ def cmd_count(args) -> int:
             )
             status = EXIT_BAD_POINT
         else:
-            notes = _unrealizable_degrees(module, args.at)
+            notes = [
+                f"{used} points of degree {degree}, F_{args.at} has {have}"
+                for degree, used, have in sorted(point_shortfalls(module, args.at))
+            ]
             if notes:
                 print(
                     f"warning: the module uses {'; '.join(notes)}; "
@@ -234,7 +268,7 @@ def cmd_hall(args) -> int:
     parts = []
     for flag, text in (("--lambda", args.lam), ("--mu", args.mu), ("--nu", args.nu)):
         try:
-            parts.append(Partition.parse(text))
+            parts.append(parse_partition(text))
         except ModuleParseError as exc:
             raise ModuleParseError(f"{flag}: {exc.message}", exc.position) from None
     lam, mu, nu = parts
@@ -244,7 +278,7 @@ def cmd_hall(args) -> int:
         return EXIT_OK
     # json keeps each partition as a list of parts, csv as one "3,2,1" cell
     record = {
-        name: list(p.parts) if args.format == "json" else ",".join(map(str, p.parts))
+        name: list(p) if args.format == "json" else ",".join(map(str, p))
         for name, p in (("lambda", lam), ("mu", mu), ("nu", nu))
     }
     record["polynomial"] = poly.to_string("x")

@@ -5,7 +5,8 @@ prime power x = p^d is the number of subgroups N of the finite abelian
 p-group of type lam with N of type mu and quotient of type nu (equivalently
 the count of submodules of the corresponding tube module).  It vanishes
 unless |lam| = |mu| + |nu| and both mu and nu fit inside lam, and it is
-symmetric in mu and nu.
+symmetric in mu and nu.  Partitions are plain tuples of ints, which
+``hall_polynomial`` checks with ``model.check_partition``.
 
 The diagonal count of a regular module needs only the sum of g over nu,
 the number of subgroups of type mu.  Birkhoff's product over the columns
@@ -42,7 +43,7 @@ from __future__ import annotations
 from functools import cache
 
 from .laurent import ONE, ZERO, LaurentPoly
-from .model import KroneckerDescriptor, Partition, conjugate_parts, contains_parts
+from .model import KroneckerDescriptor, check_partition, conjugate_parts, contains_parts
 from .qbinom import gauss
 
 __all__ = [
@@ -53,12 +54,6 @@ __all__ = [
 ]
 
 Part = tuple[int, ...]
-
-
-def _as_parts(p) -> Part:
-    if isinstance(p, Partition):
-        return p.parts
-    return Partition(tuple(p)).parts
 
 
 @cache
@@ -157,7 +152,7 @@ def _hall(lam: Part, nu: Part, mu: Part) -> LaurentPoly:
 
 def hall_vanishes(lam, nu, mu) -> bool:
     """True when the vanishing rule already forces the polynomial to be 0."""
-    lam, nu, mu = _as_parts(lam), _as_parts(nu), _as_parts(mu)
+    lam, nu, mu = map(check_partition, (lam, nu, mu))
     return (
         sum(lam) != sum(mu) + sum(nu)
         or not contains_parts(lam, mu)
@@ -168,7 +163,7 @@ def hall_vanishes(lam, nu, mu) -> bool:
 def hall_polynomial(lam, nu, mu) -> LaurentPoly:
     """g(x) counting subgroups of type mu with quotient of type nu inside
     the abelian p-group of type lam, at x = p."""
-    lam, nu, mu = _as_parts(lam), _as_parts(nu), _as_parts(mu)
+    lam, nu, mu = map(check_partition, (lam, nu, mu))
     if hall_vanishes(lam, nu, mu):
         return ZERO
     # normalize the commutative product to one cached orientation
@@ -212,8 +207,8 @@ def regular_diagonal_count(module: KroneckerDescriptor, a: int) -> LaurentPoly:
     if a < 0 or a > dim.a:
         return ZERO
     dp: dict[int, LaurentPoly] = {0: ONE}
-    for _, degree, partition in module.regular:
-        sums = _weight_sums(partition.parts)
+    for _, degree, parts in module.regular:
+        sums = _weight_sums(parts)
         nxt: dict[int, LaurentPoly] = {}
         for base, acc in dp.items():
             for w, s in enumerate(sums):

@@ -13,6 +13,8 @@ Text grammar (CLI and fixtures):
     module  := '0' | [nat '*'] summand (' + ' [nat '*'] summand)*
 
 A point degree of 1 may be omitted: ``R(p1,[2,1])`` is a degree-1 point.
+A partition is a plain tuple such as ``(2, 1)``; ``check_partition`` alone
+owns the rule that its parts are positive and weakly decreasing.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ from typing import Iterator, NamedTuple, Union
 
 __all__ = [
     "DimVector",
-    "Partition",
     "Preprojective",
     "Preinjective",
     "Regular",
     "KroneckerDescriptor",
     "ModuleParseError",
+    "check_partition",
     "parse_module",
+    "parse_partition",
     "preprojective",
     "preinjective",
     "regular",
@@ -66,44 +69,15 @@ def contains_parts(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
     return all(m <= l for m, l in zip(mu, lam))
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing tuple of positive integers."""
-
-    parts: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
-        if any(not isinstance(p, int) or p <= 0 for p in parts):
-            raise ValueError(f"partition parts must be positive integers: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"partition parts must be weakly decreasing: {parts}")
-
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        """Comma-separated parts such as ``3,2,1``; blank text is the empty
-        partition.  Raises :class:`ModuleParseError` at the first bad part."""
-        if not text.strip():
-            return cls(())
-        parts: list[int] = []
-        for x, i in read_ints(text, "partition part"):
-            if x <= 0 or parts and x > parts[-1]:
-                raise ModuleParseError(
-                    "partition parts must be positive and weakly decreasing", i
-                )
-            parts.append(x)
-        return cls(tuple(parts))
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def __bool__(self):
-        return bool(self.parts)
-
-    def __str__(self):
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
+def check_partition(parts) -> tuple[int, ...]:
+    """parts as a tuple, checked to be positive integers in weakly
+    decreasing order; the one owner of that rule.  Raises ``ValueError``."""
+    parts = tuple(parts)
+    if any(not isinstance(p, int) or p <= 0 for p in parts):
+        raise ValueError(f"partition parts must be positive integers: {parts}")
+    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        raise ValueError(f"partition parts must be weakly decreasing: {parts}")
+    return parts
 
 
 @dataclass(frozen=True)
@@ -162,18 +136,35 @@ def read_ints(text: str, what: str) -> list[tuple[int, int]]:
     return out
 
 
+def parse_partition(text: str) -> tuple[int, ...]:
+    """Comma-separated parts such as ``3,2,1``; blank text is the empty
+    partition.  Raises :class:`ModuleParseError` at the first bad part."""
+    if not text.strip():
+        return ()
+    parts: list[int] = []
+    for x, i in read_ints(text, "partition part"):
+        try:
+            check_partition((*parts[-1:], x))
+        except ValueError:
+            raise ModuleParseError(
+                "partition parts must be positive and weakly decreasing", i
+            ) from None
+        parts.append(x)
+    return tuple(parts)
+
+
 @dataclass(frozen=True)
 class KroneckerDescriptor:
     """Multiset of indecomposable summands in canonical order.
 
     ``preprojective`` and ``preinjective`` hold (index, multiplicity) pairs
-    sorted by index; ``regular`` holds (label, degree, partition) triples
-    sorted by label, one per point.
+    sorted by index; ``regular`` holds (label, degree, parts) triples sorted
+    by label, one per point, with parts a nonempty partition tuple.
     """
 
     preprojective: tuple[tuple[int, int], ...] = ()
     preinjective: tuple[tuple[int, int], ...] = ()
-    regular: tuple[tuple[str, int, Partition], ...] = ()
+    regular: tuple[tuple[str, int, tuple[int, ...]], ...] = ()
 
     # -- construction ------------------------------------------------------
 
@@ -183,11 +174,10 @@ class KroneckerDescriptor:
         pp = tuple(sorted((int(n), int(m)) for n, m in dict(preproj or {}).items() if m))
         pi = tuple(sorted((int(n), int(m)) for n, m in dict(preinj or {}).items() if m))
         rg = []
-        for label, degree, partition in reg or ():
-            if not isinstance(partition, Partition):
-                partition = Partition(tuple(partition))
-            if partition:
-                rg.append((str(label), int(degree), partition))
+        for label, degree, parts in reg or ():
+            parts = check_partition(parts)
+            if parts:
+                rg.append((str(label), int(degree), parts))
         rg.sort(key=lambda t: t[0])
         labels = [t[0] for t in rg]
         if len(set(labels)) != len(labels):
@@ -207,7 +197,7 @@ class KroneckerDescriptor:
             d0, parts = reg.setdefault(label, (deg, []))
             if d0 != deg:
                 raise ValueError(f"point {label!r} used with degrees {d0} and {deg}")
-            parts.extend(part.parts)
+            parts.extend(part)
         return KroneckerDescriptor.build(
             Counter(dict(self.preprojective)) + Counter(dict(other.preprojective)),
             Counter(dict(self.preinjective)) + Counter(dict(other.preinjective)),
@@ -225,7 +215,7 @@ class KroneckerDescriptor:
             a += m * n
             b += m * (n + 1)
         for _, deg, part in self.regular:
-            k = deg * part.weight
+            k = deg * sum(part)
             a += k
             b += k
         return DimVector(a, b)
@@ -236,7 +226,7 @@ class KroneckerDescriptor:
             for _ in range(m):
                 yield Preprojective(n)
         for label, deg, part in self.regular:
-            for t in part.parts:
+            for t in part:
                 yield Regular(label, deg, t)
         for n, m in self.preinjective:
             for _ in range(m):
@@ -265,7 +255,7 @@ class KroneckerDescriptor:
         Point labels do not affect cardinalities, so regular entries are
         normalized to a sorted multiset of (degree, parts).
         """
-        reg = tuple(sorted((deg, part.parts) for _, deg, part in self.regular))
+        reg = tuple(sorted((deg, part) for _, deg, part in self.regular))
         return (self.preprojective, self.preinjective, reg)
 
     # -- socle splitting and reflections -------------------------------------
@@ -319,7 +309,7 @@ class KroneckerDescriptor:
             chunks.append(f"P{n}" if m == 1 else f"{m}*P{n}")
         for label, deg, part in self.regular:
             at = "" if deg == 1 else f"@{deg}"
-            chunks.append(f"R({label}{at},{part})")
+            chunks.append(f"R({label}{at},[{','.join(map(str, part))}])")
         for n, m in self.preinjective:
             chunks.append(f"I{n}" if m == 1 else f"{m}*I{n}")
         return " + ".join(chunks)
@@ -406,15 +396,11 @@ def parse_module(text: str) -> KroneckerDescriptor:
             if i == n or s[i] != "[":
                 raise ModuleParseError("expected '['", i)
             i = skip_ws(i + 1)
-            parts = []
-            while True:
-                p, i = read_nat(i, "partition part")
+            p, i = read_nat(i, "partition part")
+            parts = [p]
+            while (i := skip_ws(i)) < n and s[i] == ",":
+                p, i = read_nat(skip_ws(i + 1), "partition part")
                 parts.append(p)
-                i = skip_ws(i)
-                if i < n and s[i] == ",":
-                    i = skip_ws(i + 1)
-                    continue
-                break
             if i == n or s[i] != "]":
                 raise ModuleParseError("expected ']'", i)
             i = skip_ws(i + 1)
@@ -422,9 +408,10 @@ def parse_module(text: str) -> KroneckerDescriptor:
                 raise ModuleParseError("expected ')'", i)
             i += 1
             try:
-                part = Partition(tuple(sorted(parts, reverse=True)))
+                # check the parts before the multiplicity, or 0*R(p,[0]) passes
+                part = check_partition(sorted(parts, reverse=True))
                 piece = KroneckerDescriptor.build(
-                    {}, {}, [(label, degree, sorted(part.parts * mult, reverse=True))]
+                    {}, {}, [(label, degree, sorted(part * mult, reverse=True))]
                 )
             except ValueError as exc:
                 raise ModuleParseError(str(exc), i) from None
@@ -463,7 +450,7 @@ def _counted(x) -> list[tuple[Summand, int]]:
         return [(x, 1)]
     out: list[tuple[Summand, int]] = [(Preprojective(n), m) for n, m in x.preprojective]
     for label, deg, part in x.regular:
-        out += [(Regular(label, deg, t), k) for t, k in Counter(part.parts).items()]
+        out += [(Regular(label, deg, t), k) for t, k in Counter(part).items()]
     out += [(Preinjective(n), m) for n, m in x.preinjective]
     return out
 

@@ -9,7 +9,8 @@ enumeration.  ``build_rep`` writes each summand's block in place.  Its
 points of degree d come in lexicographic order from a lazy stream of monic
 irreducibles, each candidate tried against the irreducibles of degree at
 most d/2, and it draws only as many as it uses; Gauss's necklace formula in
-``points_of_degree`` tells beforehand whether F_p has enough of them.
+``points_of_degree`` tells beforehand whether F_p has enough of them, through
+``point_shortfalls``, which ``count --at`` shares.
 
 A submodule is a pair (U1, U2) with alpha U2 + beta U2 inside U1.  For each
 vertex-2 subspace U2 the oracle takes the rank w of its images; the U1 that
@@ -43,6 +44,7 @@ built afresh on each call and kept by no cache.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
@@ -57,6 +59,7 @@ __all__ = [
     "build_rep",
     "check_work",
     "points_of_degree",
+    "point_shortfalls",
     "count_submodules",
     "count_submodules_naive",
     "submodule_table",
@@ -171,6 +174,21 @@ def points_of_degree(d: int, q: int) -> int:
     return irreducibles[d]
 
 
+def point_shortfalls(module: KroneckerDescriptor, q: int) -> list[tuple[int, int, int]]:
+    """(degree, used, have) for each point degree, in order of first use,
+    at which the module uses more points than ``points_of_degree`` gives."""
+    out = []
+    for degree, used in Counter(d for _, d, _ in module.regular).items():
+        # for d >= 4 there are at least q^d / (2d) >= 2^(d-1) / d points,
+        # so a large degree needs no exact count (nor a huge power of q)
+        if degree >= 4 and degree - 1 >= (degree * used).bit_length():
+            continue
+        have = points_of_degree(degree, q)
+        if used > have:
+            out.append((degree, used, have))
+    return out
+
+
 def _divides(f: tuple[int, ...], t: tuple[int, ...], p: int) -> bool:
     """Whether x^e + f divides x^d + t over F_p, each polynomial an
     ascending coefficient tuple without its leading 1."""
@@ -215,23 +233,23 @@ def build_rep(module: KroneckerDescriptor, p: int, parameter_shift: int = 0) -> 
     of monic irreducibles of their degree (then 'inf' at degree 1);
     ``parameter_shift`` rotates that cyclic order, which must not change any
     submodule count.  Raises :class:`PointCapacityError` when
-    ``points_of_degree`` says F_p has too few points of some degree.
+    ``point_shortfalls`` says F_p has too few points of some degree.
     """
     dim = module.dim_vector()
     alpha = [[0] * dim.b for _ in range(dim.a)]
     beta = [[0] * dim.b for _ in range(dim.a)]
 
-    assignment = {}  # label -> point, per degree in order of first use
+    short = point_shortfalls(module, p)
+    if short:
+        deg, used, have = short[0]
+        raise PointCapacityError(
+            f"F_{p} has only {have} points of degree {deg}; descriptor needs {used}"
+        )
+    assignment = {}  # label -> point, per degree
     for deg in dict.fromkeys(d for _, d, _ in module.regular):
         labels = sorted(label for label, d, _ in module.regular if d == deg)
-        have = points_of_degree(deg, p)
-        if len(labels) > have:
-            raise PointCapacityError(
-                f"F_{p} has only {have} points of degree {deg}; "
-                f"descriptor needs {len(labels)}"
-            )
         pool = chain(_monic_irreducibles(deg, p), ["inf"] if deg == 1 else [])
-        assignment.update(zip(labels, islice(cycle(pool), parameter_shift % have, None)))
+        assignment.update(zip(labels, islice(cycle(pool), parameter_shift, None)))
 
     r = c = 0  # first row and column of the next summand
     for s in module.summands():
@@ -377,20 +395,26 @@ def check_work(
     ``submodule_table(rep)`` when ``cell`` is None, walks on a model of
     dimension vector (dim1, dim2) over F_p; none for a cell out of range.
     Raises ``ValueError`` when the p^dim2 image-table entries plus the
-    walked nodes exceed ``_MAX_SUBSPACES``.  It needs no model, so a caller
-    can refuse a request before building one."""
+    walked nodes exceed ``_MAX_SUBSPACES``; when the table alone does, at
+    once, without summing the walk.  It needs no model, so a caller can
+    refuse a request before building one."""
     if cell is None:
         dims = list(range(dim2 + 1))
     else:
         a, b = cell
         dims = [b] if 0 <= a <= dim1 and 0 <= b <= dim2 else []
-    work = p**dim2 + _walk_size(dim2, p, dims) if dims else 0
-    if work > _MAX_SUBSPACES:
-        raise ValueError(
-            f"the oracle would walk {work} vectors and subspaces of "
-            f"F_{p}^{dim2}; its bound is {_MAX_SUBSPACES}"
-        )
-    return dims
+    if not dims:
+        return dims
+    if p**dim2 > _MAX_SUBSPACES:
+        work = f"at least {p}^{dim2}"  # the table alone; the walk is not sized
+    else:
+        work = p**dim2 + _walk_size(dim2, p, dims)
+        if work <= _MAX_SUBSPACES:
+            return dims
+    raise ValueError(
+        f"the oracle would walk {work} vectors and subspaces of "
+        f"F_{p}^{dim2}; its bound is {_MAX_SUBSPACES}"
+    )
 
 
 def _cell(rep: MatrixRep, hist: dict[int, int], a: int) -> int:

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from kronq.model import KroneckerDescriptor, Partition
+from kronq.model import KroneckerDescriptor
 
 MAX_DIM = (5, 5)
 
@@ -86,11 +86,11 @@ def corpus_descriptors():
                 if w > budget:
                     continue
                 reg = [
-                    (f"p{i + 1}", 1, Partition(parts))
+                    (f"p{i + 1}", 1, parts)
                     for i, parts in enumerate(d1)
                 ]
                 reg += [
-                    (f"r{i + 1}", 2, Partition(parts))
+                    (f"r{i + 1}", 2, parts)
                     for i, parts in enumerate(d2)
                 ]
                 desc = KroneckerDescriptor(

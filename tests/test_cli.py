@@ -13,7 +13,8 @@ import pytest
 import kronq.cli as cli
 from kronq.cli import build_parser, main
 from kronq.laurent import parse_poly
-from kronq.oracle import _monic_irreducibles, points_of_degree
+from kronq.model import parse_module
+from kronq.oracle import _monic_irreducibles, point_shortfalls, points_of_degree
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output-schema.json").read_text()
@@ -117,6 +118,86 @@ def test_point_counts_match_the_oracle_point_pools():
         assert points_of_degree(1, p) == p + 1
         for d in range(2, 6):
             assert points_of_degree(d, p) == len(list(_monic_irreducibles(d, p)))
+
+
+def test_point_shortfalls_serve_both_callers(capsys):
+    # labels a, b come first, so degree 2 is the first degree in use
+    module = "R(a@2,[1]) + R(b@2,[1]) + R(c,[1]) + R(d,[1]) + R(e,[1]) + R(f,[1])"
+    assert point_shortfalls(parse_module(module), 2) == [(2, 2, 1), (1, 4, 3)]
+    assert point_shortfalls(parse_module(module), 3) == []
+    # a large degree is admitted without an exact count of q^d
+    assert point_shortfalls(parse_module("R(a@64,[1]) + R(b@64,[1])"), 2) == []
+    code, out, err = run(capsys, "count", "-m", module, "-d", "1,1", "--at", "2")
+    assert (code, out) == (0, "4\nat q=2: 4\n")
+    assert err == (
+        "warning: the module uses 4 points of degree 1, F_2 has 3; 2 points of "
+        "degree 2, F_2 has 1; the value does not count submodules over this field\n"
+    )
+    code, out, err = run(capsys, "verify", "-m", module, "-p", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: F_2 has only 1 points of degree 2; descriptor needs 2\n"
+
+
+def test_prime_powers_agree_with_trial_division():
+    # smallest prime factor of every n < 10^5, by a sieve
+    limit = 10**5
+    spf = list(range(limit))
+    for p in range(2, int(limit**0.5) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit, p):
+                if spf[m] == m:
+                    spf[m] = p
+    for n in range(limit):
+        want = n >= 2
+        if want:
+            m, p = n, spf[n]
+            while m % p == 0:
+                m //= p
+            want = m == 1
+        assert cli._is_prime_power(n) == want, n
+
+
+def test_count_at_decides_large_field_sizes_fast(capsys):
+    for q, code in [
+        (1000000000000000003, 0),  # a prime with no small factor
+        (1000000007**2, 0),
+        (1000000007 * 1000000009, 3),
+        # the bound is on the root: the Mersenne prime 2^61 - 1 is proven
+        ((2**61 - 1) ** 2, 0),
+        (2**89, 0),
+        (3**40 * 5, 3),
+    ]:
+        started = time.perf_counter()
+        got = run(capsys, "count", "-m", "P1", "-d", "1,0", "--at", str(q))
+        assert time.perf_counter() - started < 1
+        assert got[0] == code, q
+        assert got[1] == f"q + 1\nat q={q}: {q + 1}\n"
+        assert (got[2] == "") == (code == 0), q
+
+
+def test_count_at_refuses_an_undecidable_field_size(capsys, monkeypatch):
+    # the least strong pseudoprime to the 13 bases is composite, and the
+    # Mersenne prime 2^89 - 1 lies above it: neither can be decided, and
+    # both are refused before any counting
+    monkeypatch.setattr(cli, "CountingEngine", None)
+    for q in (cli._MR_PROVEN, 2**89 - 1, (2**89 - 1) ** 3):
+        code, out, err = run(capsys, "count", "-m", "P1", "-d", "1,0", "--at", str(q))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot decide whether {q} is a prime power: ")
+        assert len(err.splitlines()) == 1
+
+
+def test_zero_parts_are_refused_before_the_multiplicity(capsys):
+    for module, message in [
+        ("0*R(p,[0])", "partition parts must be positive integers: (0,) (at position 10)"),
+        (
+            "2*R(p,[0,1])",
+            "partition parts must be positive integers: (1, 0) (at position 12)",
+        ),
+    ]:
+        assert run(capsys, "count", "-m", module, "-d", "0,0") == (
+            2, "", f"error: {message}\n"
+        ), module
 
 
 def test_count_parse_error_exit_2(capsys):
@@ -388,6 +469,20 @@ def test_verify_over_work_bound_exit_1(capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+
+
+def test_verify_refuses_a_large_image_table_at_once(capsys):
+    # the 5^n image table alone is over the bound, so the walk, a sum of
+    # gauss(d, n) over every d, is never sized
+    for n in (200, 600):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "verify", "-m", f"P{n}", "-p", "5")
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: the oracle would walk at least 5^{n} vectors and subspaces "
+            f"of F_5^{n}; its bound is 1000000\n"
+        )
 
 
 def test_verify_work_bound_counts_only_the_requested_cell(capsys):

@@ -17,7 +17,6 @@ from kronq.laurent import ONE, ZERO, parse_poly, sum_of_products
 from kronq.model import (
     DimVector,
     KroneckerDescriptor,
-    Partition,
     Preinjective,
     Preprojective,
     euler_form,
@@ -266,7 +265,7 @@ def _random_modules(st, max_dim: int, points=(("p", 1), ("r", 2))):
             for _ in range(draw(st.integers(0, 2))):
                 if left >= 2 * degree:
                     parts.append(take(2 * degree, 3))
-            return Partition(tuple(sorted(parts, reverse=True)))
+            return tuple(sorted(parts, reverse=True))
 
         # the kinds take their share of the bound in a random order
         drawn = {}

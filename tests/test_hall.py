@@ -132,6 +132,11 @@ def test_symmetry_and_vanishing():
     assert hall_vanishes((2,), (1, 1), ())  # nu not inside lam
     assert hall_polynomial((2,), (1, 1), ()) == ZERO
     assert hall_polynomial((3, 1), (2, 2), ()) == ZERO
+    # every argument is checked as a partition
+    for bad in [(1, 2), (0,)]:
+        for args in [(bad, (1,), (1,)), ((2,), bad, (1,)), ((2,), (1,), bad)]:
+            with pytest.raises(ValueError):
+                hall_polynomial(*args)
 
 
 def test_against_census_at_small_primes():

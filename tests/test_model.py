@@ -8,10 +8,10 @@ from kronq.model import (
     DimVector,
     KroneckerDescriptor,
     ModuleParseError,
-    Partition,
     Preinjective,
     Preprojective,
     Regular,
+    check_partition,
     conjugate_parts,
     contains_parts,
     ext_dim,
@@ -41,16 +41,17 @@ def test_dim_vector_additive_under_direct_sum():
 
 
 def test_partition_basics():
-    lam = Partition((3, 2, 2))
-    assert lam.weight == 7
-    assert _n(lam.parts) == 0 * 3 + 1 * 2 + 2 * 2
-    assert conjugate_parts(lam.parts) == (3, 3, 1)
-    assert contains_parts(lam.parts, (2, 2))
-    assert not contains_parts(lam.parts, (4,))
+    lam = check_partition([3, 2, 2])
+    assert lam == (3, 2, 2)
+    assert sum(lam) == 7
+    assert _n(lam) == 0 * 3 + 1 * 2 + 2 * 2
+    assert conjugate_parts(lam) == (3, 3, 1)
+    assert contains_parts(lam, (2, 2))
+    assert not contains_parts(lam, (4,))
     with pytest.raises(ValueError):
-        Partition((1, 2))
+        check_partition((1, 2))
     with pytest.raises(ValueError):
-        Partition((0,))
+        check_partition((0,))
 
 
 def test_split_socle():
@@ -178,7 +179,7 @@ def test_parse_repeated_regular_summand():
     started = time.perf_counter()
     m = parse_module("2000*P0 + 8000*R(p,[1])")
     assert time.perf_counter() - started < 1
-    assert m.regular[0][2].parts == (1,) * 8000
+    assert m.regular[0][2] == (1,) * 8000
     assert parse_module("2*R(p,[2,1]) + R(p,[3])") == parse_module("R(p,[3,2,2,1,1])")
     # zero copies of a regular summand are no summand, as for P and I
     assert parse_module("0*R(p,[1]) + P1") == parse_module("0*I2 + P1")
