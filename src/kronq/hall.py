@@ -151,8 +151,7 @@ def _hall(lam: Part, nu: Part, mu: Part) -> LaurentPoly:
 
 
 def hall_vanishes(lam, nu, mu) -> bool:
-    """True when the vanishing rule already forces the polynomial to be 0."""
-    lam, nu, mu = map(check_partition, (lam, nu, mu))
+    """True when the vanishing rule forces g to be 0; takes checked partitions."""
     return (
         sum(lam) != sum(mu) + sum(nu)
         or not contains_parts(lam, mu)
