@@ -235,6 +235,7 @@ def cmd_verify(args) -> int:
         table = submodule_table(rep)
     else:
         table = {cell: count_submodules(rep, *cell)}
+    name = str(module)
     records = []
     mismatches = 0
     for (a, b), expected in sorted(table.items()):
@@ -243,7 +244,7 @@ def cmd_verify(args) -> int:
         mismatches += not ok
         records.append(
             {
-                "module": str(module),
+                "module": name,
                 "p": args.prime,
                 "a": a,
                 "b": b,

@@ -18,14 +18,20 @@ contain them number gauss(a - w, dim1 - w) at q = p.
 
 The alpha and beta images of every vertex-2 vector are built once per
 call, indexed by the vector's integer value (a bitmask over F_2, base p
-otherwise): a list of int bitmasks over F_2, a flat byte array over odd p.
-The subspaces U2 are then met in one depth-first walk of the RREF tree.  A
-node at depth d is a d-subspace given by its bottom d RREF rows; a child
-adds a top row with a pivot below every pivot so far.  Each node carries
-the echelon of its images, so a child reduces only its two new images
-into its parent's echelon: by XOR on bitmasks over F_2, and over odd p by
-``_add``, the echelon step of rows normalised at their pivots that
-``hom_dim_numeric`` also uses.  One walk fills the histogram of every
+otherwise).  Over F_2 an image is one int bitmask.  Over F_3 it is one int
+of two bit planes (Boothby-Bradshaw): its coordinates equal to 1 in bits
+0..dim1-1 and those equal to 2 in the dim1 bits above them.  Over p >= 5
+the images fill one flat array of residues.  The subspaces U2 are then met
+in one depth-first walk of the RREF tree.  A node at depth d is a
+d-subspace given by its bottom d RREF rows; a child adds a top row with a
+pivot below every pivot so far.  Each node carries the echelon of its
+images, so a child reduces only its two new images into its parent's
+echelon.  Over F_2 and F_3 an echelon row keeps its pivot, the lowest set
+bit, scaled to 1: over F_2 a vector with that bit set is XORed with the
+row, and over F_3 the row is subtracted where the vector has a 1 there and
+added where it has a 2, a few bit operations on the two planes.  Over
+p >= 5 the walk reduces by ``_add``, the echelon step of residue rows
+that ``hom_dim_numeric`` also uses.  One walk fills the histogram of every
 requested dimension, and extends a node only while its top pivot leaves
 room to reach the next requested depth.  For the dimensions ``dims`` it
 visits sum over d of gauss(d, n - nx(d) + d) nodes, with n = dim2 and
@@ -288,8 +294,12 @@ def _image_tables(rep: MatrixRep) -> tuple:
     vector's integer value: coordinate j is bit j over F_2 and digit j base
     p otherwise.
 
-    Over F_2 a table is a list of int bitmasks.  Over odd p it is one flat
-    array of dim1 residues per vector, in order of the vector's value.
+    Over F_2 a table is a list of int bitmasks.  Over F_3 it is a list of
+    ints with two bit planes: the coordinates equal to 1 in bits 0..dim1-1
+    and those equal to 2 in the dim1 bits above them.  Each is built block
+    by block, the images of the vectors below p^j plus x times column j.
+    Over p >= 5 a table is one flat array of dim1 residues per vector, in
+    order of the vector's value.
     """
     p, k = rep.p, rep.dim1
     tables = []
@@ -300,6 +310,18 @@ def _image_tables(rep: MatrixRep) -> tuple:
             for col in cols:
                 mask = sum(x << i for i, x in enumerate(col))
                 table += [v ^ mask for v in table]
+        elif p == 3:
+            plane, table = (1 << k) - 1, [0]
+            for col in cols:
+                ones = sum(1 << i for i, x in enumerate(col) if x % 3 == 1)
+                twos = sum(1 << i for i, x in enumerate(col) if x % 3 == 2)
+                # v + b plane by plane, b the column and then twice it
+                table += [
+                    ((v >> k | b2) ^ t) | ((v & plane | b1) ^ t) << k
+                    for b1, b2 in ((ones, twos), (twos, ones))
+                    for v in table
+                    for t in [(v & plane | b2) ^ (v >> k | b1)]
+                ]
         else:
             code = "B" if p < 256 else "L"
             table = array(code, [0]) * k
@@ -337,6 +359,10 @@ def _walk(rep: MatrixRep, dims) -> list[dict[int, int]]:
     rows without the top one, so the walk meets each subspace once.  The
     echelon of a node's images is its parent's with the child's two new
     images reduced into it.
+
+    A row is (pivot bit, mask) over F_2, (pivot bit, ones, twos) over F_3
+    and ``_add``'s over p >= 5; like ``_add``'s, it is 1 at its pivot, here
+    its lowest nonzero coordinate, and 0 at the pivots kept before it.
     """
     p, n, full = rep.p, rep.dim2, rep.dim1
     floors = _floors(dims)
@@ -348,12 +374,28 @@ def _walk(rep: MatrixRep, dims) -> list[dict[int, int]]:
 
         def grow(r: int) -> None:
             for v in (ta[r], tb[r]):
-                for b in echelon:
-                    # clears b's top bit from v; each kept vector has a
-                    # top bit that the vectors kept after it lack
-                    v = min(v, v ^ b)
+                for pb, b in echelon:
+                    if v & pb:
+                        v ^= b
                 if v:
-                    echelon.append(v)
+                    echelon.append((v & -v, v))
+
+    elif p == 3:
+        plane = (1 << full) - 1
+
+        def grow(r: int) -> None:
+            for v in (ta[r], tb[r]):
+                o, t = v & plane, v >> full
+                for pb, b1, b2 in echelon:
+                    if o & pb:  # v - b: add b with its planes swapped
+                        x = (o | b1) ^ (t | b2)
+                        o, t = (t | b1) ^ x, (o | b2) ^ x
+                    elif t & pb:  # v + b
+                        x = (o | b2) ^ (t | b1)
+                        o, t = (t | b2) ^ x, (o | b1) ^ x
+                if o | t:
+                    pb = (o | t) & -(o | t)
+                    echelon.append((pb, o, t) if o & pb else (pb, t, o))
 
     else:
 

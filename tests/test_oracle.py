@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -17,6 +18,7 @@ from kronq.oracle import (
     _image_tables,
     _matvec,
     _monic_irreducibles,
+    _rank,
     _subspace_bases,
     _walk,
     _walk_size,
@@ -259,6 +261,31 @@ def test_random_nonzero_rep_has_an_endomorphism():
             assert hom_dim_numeric(rep, rep) >= 1
 
     _given_reps(check)
+
+
+def test_bit_plane_tables_match_the_generic_rank_on_wide_reps():
+    # the F_2 masks and both F_3 planes reach past one byte at dim1 >= 9;
+    # the reference ranks each subspace's images by ``_add``, and sparse
+    # models leave lower ranks
+    rng = random.Random(5)
+    for p, dim1, density in product((2, 3), range(5, 11), (0.2, 0.5, 1)):
+        dim2 = rng.randint(1, 3)
+        entry = lambda: rng.randrange(p) * (rng.random() < density)
+        rep = MatrixRep(p, dim1, dim2, *(
+            tuple(tuple(entry() for _ in range(dim2)) for _ in range(dim1))
+            for _ in "ab"
+        ))
+        want = {}
+        for b in range(dim2 + 1):
+            ranks = Counter(
+                _rank([_matvec(m, v, p) for m in (rep.alpha, rep.beta) for v in u2], p)
+                for u2 in _subspace_bases(dim2, b, p)
+            )
+            for a in range(dim1 + 1):
+                want[a, b] = sum(
+                    n * gauss_int(a - w, dim1 - w, p) for w, n in ranks.items() if w <= a
+                )
+        assert submodule_table(rep) == want, (p, dim1, dim2)
 
 
 def test_walk_visits_exactly_the_nodes_the_bound_counts():
