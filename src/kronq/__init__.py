@@ -20,9 +20,7 @@ from .model import (
     DimVector,
     KroneckerDescriptor,
     ModuleParseError,
-    Preinjective,
-    Preprojective,
-    Regular,
+    Summand,
     ext_dim,
     euler_form,
     hom_dim,

@@ -25,9 +25,10 @@ The dispatcher reduces a count to closed forms and diagonal regular counts:
      (Caldero, Reineke, J. Pure Appl. Algebra 212, 2008), so the count of
      e = (a, b) vanishes when that Euler form is negative;
   3. a single indecomposable with a closed form is answered directly;
-  4. any preprojective summand: reflect away from the projective side,
-     which strictly lowers the largest preprojective index;
-  5. otherwise any preinjective summand: count in the dual module.  The
+  4. any preprojective summand: recurse into the reflected module S+M
+     (Bernstein, Gelfand, Ponomarev, Russian Math. Surveys 28, 1973), which
+     strictly lowers the largest preprojective index;
+  5. otherwise any preinjective summand: count in the dual module DM.  The
      duality D = Hom_k(-, k) swaps P_n and I_n and keeps each tube (Assem,
      Simson, Skowronski, Elements I, III.3), and U -> (M/U)* matches the
      submodules of dimension (a, b) with those of D(M) of dimension
@@ -57,6 +58,7 @@ thousands of times, so the engine derives what it needs from a descriptor
 once: each distinct descriptor (up to point labels) gets one
 :class:`_Record` holding its dimension pair, its closed-form counter, its
 reflected, dual and regular-part descriptors and the memo of its values.
+S+M and DM come from the model's ``reflect_plus()`` and ``dual()``.
 The recursion then works on records only.  A record names those records by
 their position in the engine's record list, not by reference: a
 regular-only module reflects to itself, and a record pointing at itself
@@ -73,14 +75,7 @@ from .closed_form import (
 )
 from .hall import regular_diagonal_count
 from .laurent import ONE, ZERO, LaurentPoly, sum_of_products
-from .model import (
-    KroneckerDescriptor,
-    Preinjective,
-    Preprojective,
-    Regular,
-    ext_dim,
-    preinjective,
-)
+from .model import KroneckerDescriptor, ext_dim
 from .qbinom import gauss
 
 __all__ = ["CountingEngine", "count"]
@@ -152,8 +147,9 @@ class CountingEngine:
     def recursion_a(self, module: KroneckerDescriptor, a: int, b: int) -> LaurentPoly:
         """Reduce through the reflection that removes the projective simple.
 
-        With M = s*P0 + M' + t*I0 of dimension (m, n), l = a - b and
-        N the plus-reflection of M' + t*I0:
+        With M of dimension (m, n), l = a - b and N = S+M (the reflection
+        :meth:`~kronq.model.KroneckerDescriptor.reflect_plus`, which drops
+        the P0 summands):
 
             count(M, a, b) = sum over c of
                 q^(c(b-l+c)) * gauss(c, m-2b) * count(N, a-l, b-l+c)
@@ -167,7 +163,8 @@ class CountingEngine:
 
             count(M, a, b) = recursion_a(D(M), n - b, m - a)
 
-        where D(M) swaps the preprojective and preinjective summands.
+        where D(M) = ``module.dual()`` swaps the preprojective and
+        preinjective summands.
         """
         rec = self._record(module)
         return self._recursion_a(self._dual(rec), rec.n - b, rec.m - a)
@@ -181,12 +178,11 @@ class CountingEngine:
             closed = None
             if self.use_closed_forms:
                 ind = module.single_indecomposable()
-                if isinstance(ind, Preprojective):
-                    closed = (count_preprojective, ind.n)
-                elif isinstance(ind, Preinjective):
-                    closed = (count_preinjective, ind.n)
-                elif isinstance(ind, Regular) and ind.degree == 1:
-                    closed = (count_regular_deg1, ind.length)
+                if ind is not None and ind.degree == 1:  # P_n and I_n have degree 1
+                    counters = {
+                        "P": count_preprojective, "I": count_preinjective, "R": count_regular_deg1
+                    }
+                    closed = (counters[ind.kind], ind.n)
             # build the record before registering its key: a RecursionError
             # inside dim_vector must not leave the key on a missing record
             self._records.append(_Record(module, closed, self._memoize))
@@ -198,14 +194,12 @@ class CountingEngine:
 
     def _down_a(self, rec: _Record) -> _Record:
         if rec.down_a is None:
-            _, mp, t = rec.module.split_socle()
-            rec.down_a = self._position((mp + preinjective(0, t) if t else mp).reflect_plus())
+            rec.down_a = self._position(rec.module.reflect_plus())
         return self._records[rec.down_a]
 
     def _dual(self, rec: _Record) -> _Record:
         if rec.dual is None:
-            m = rec.module
-            rec.dual = self._position(KroneckerDescriptor(m.preinjective, m.preprojective, m.regular))
+            rec.dual = self._position(rec.module.dual())
         return self._records[rec.dual]
 
     def _regular(self, rec: _Record) -> _Record:

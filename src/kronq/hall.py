@@ -207,16 +207,14 @@ def regular_diagonal_count(module: KroneckerDescriptor, a: int) -> LaurentPoly:
         return ZERO
     dp: dict[int, LaurentPoly] = {0: ONE}
     for _, degree, parts in module.regular:
-        sums = _weight_sums(parts)
+        sums = [s.stretched(degree) for s in _weight_sums(parts)[: a // degree + 1]]
         nxt: dict[int, LaurentPoly] = {}
         for base, acc in dp.items():
             for w, s in enumerate(sums):
-                if s.is_zero:
-                    continue
                 key = base + degree * w
                 if key > a:
-                    continue
-                term = acc * s.stretched(degree)
+                    break
+                term = acc * s
                 prev = nxt.get(key)
                 nxt[key] = term if prev is None else prev + term
         dp = nxt

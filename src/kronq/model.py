@@ -5,7 +5,11 @@ preprojectives P_n (dimension vector (n+1, n)), preinjectives I_n (dimension
 (n, n+1)) and regular summands R_p(lambda) attached to points p of given
 degree, where lambda is a partition and R_p(lambda) means the direct sum of
 the uniserials R_p(lambda_i).  Descriptors are immutable and hashable, with
-a canonical ordering of entries so they can serve as cache keys.
+a canonical ordering of entries so they can serve as cache keys.  One
+indecomposable is a :class:`Summand` record whose ``kind`` is 'P', 'I' or
+'R'.  The descriptor owns the two operations the counting engine recurses
+through: the reflection S+ (:meth:`~KroneckerDescriptor.reflect_plus`) and
+the duality D (:meth:`~KroneckerDescriptor.dual`).
 
 Text grammar (CLI and fixtures):
 
@@ -22,13 +26,12 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Union
+from itertools import repeat
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "DimVector",
-    "Preprojective",
-    "Preinjective",
-    "Regular",
+    "Summand",
     "KroneckerDescriptor",
     "ModuleParseError",
     "check_partition",
@@ -80,36 +83,23 @@ def check_partition(parts) -> tuple[int, ...]:
     return parts
 
 
-@dataclass(frozen=True)
-class Preprojective:
+class Summand(NamedTuple):
+    """One indecomposable: P_n or I_n, or the uniserial of length n at a
+    point of the given degree when ``kind`` is 'R'.  The kind is a field,
+    so P_n and I_n never compare equal."""
+
+    kind: str  # 'P', 'I' or 'R'
     n: int
+    point: str = ""
+    degree: int = 1
 
     def dim_vector(self) -> DimVector:
-        return DimVector(self.n + 1, self.n)
-
-
-@dataclass(frozen=True)
-class Preinjective:
-    n: int
-
-    def dim_vector(self) -> DimVector:
-        return DimVector(self.n, self.n + 1)
-
-
-@dataclass(frozen=True)
-class Regular:
-    """One uniserial regular summand R_point(length)."""
-
-    point: str
-    degree: int
-    length: int
-
-    def dim_vector(self) -> DimVector:
-        d = self.degree * self.length
+        if self.kind == "P":
+            return DimVector(self.n + 1, self.n)
+        if self.kind == "I":
+            return DimVector(self.n, self.n + 1)
+        d = self.degree * self.n
         return DimVector(d, d)
-
-
-Summand = Union[Preprojective, Preinjective, Regular]
 
 
 class ModuleParseError(ValueError):
@@ -223,14 +213,12 @@ class KroneckerDescriptor:
     def summands(self) -> Iterator[Summand]:
         """Expanded indecomposable summands (regulars one per part)."""
         for n, m in self.preprojective:
-            for _ in range(m):
-                yield Preprojective(n)
+            yield from repeat(Summand("P", n), m)
         for label, deg, part in self.regular:
             for t in part:
-                yield Regular(label, deg, t)
+                yield Summand("R", t, label, deg)
         for n, m in self.preinjective:
-            for _ in range(m):
-                yield Preinjective(n)
+            yield from repeat(Summand("I", n), m)
 
     @property
     def is_zero(self) -> bool:
@@ -258,7 +246,7 @@ class KroneckerDescriptor:
         reg = tuple(sorted((deg, part) for _, deg, part in self.regular))
         return (self.preprojective, self.preinjective, reg)
 
-    # -- socle splitting and reflections -------------------------------------
+    # -- socle splitting, reflection and duality ----------------------------
 
     def split_socle(self) -> tuple[int, "KroneckerDescriptor", int]:
         """Return (s, M', t) where M = s*P0 + M' + t*I0 and M' has neither."""
@@ -278,26 +266,24 @@ class KroneckerDescriptor:
         return s, KroneckerDescriptor(tuple(pp), tuple(pi), self.regular), t
 
     def reflect_plus(self) -> "KroneckerDescriptor":
-        """P_n -> P_{n-1}, I_n -> I_{n+1}, regular points kept.
+        """The BGP reflection S+ at the projective simple P_0: P_0 summands
+        vanish, P_n -> P_{n-1}, I_n -> I_{n+1}, regular points kept.
 
-        Requires no P_0 summand; sends dimension (m, n) to (n, 2n - m).
+        Off P_0 it sends dimension (m, n) to (n, 2n - m).
         """
-        if any(n == 0 for n, _ in self.preprojective):
-            raise ValueError("reflection undefined on modules with a P0 summand")
-        pp = tuple(sorted((n - 1, m) for n, m in self.preprojective))
-        pi = tuple(sorted((n + 1, m) for n, m in self.preinjective))
+        pp = tuple((n - 1, m) for n, m in self.preprojective if n)
+        pi = tuple((n + 1, m) for n, m in self.preinjective)
         return KroneckerDescriptor(pp, pi, self.regular)
+
+    def dual(self) -> "KroneckerDescriptor":
+        """The duality D = Hom_k(-, k): P_n <-> I_n, each tube kept;
+        sends dimension (m, n) to (n, m)."""
+        return KroneckerDescriptor(self.preinjective, self.preprojective, self.regular)
 
     def reflect_minus(self) -> "KroneckerDescriptor":
-        """P_n -> P_{n+1}, I_n -> I_{n-1}; inverse of :meth:`reflect_plus`.
-
-        Requires no I_0 summand; sends dimension (m, n) to (2m - n, m).
-        """
-        if any(n == 0 for n, _ in self.preinjective):
-            raise ValueError("reflection undefined on modules with an I0 summand")
-        pp = tuple(sorted((n + 1, m) for n, m in self.preprojective))
-        pi = tuple(sorted((n - 1, m) for n, m in self.preinjective))
-        return KroneckerDescriptor(pp, pi, self.regular)
+        """S- = D S+ D: I_0 summands vanish, P_n -> P_{n+1}, I_n -> I_{n-1};
+        off I_0 it sends dimension (m, n) to (2m - n, m)."""
+        return self.dual().reflect_plus().dual()
 
     # -- display -------------------------------------------------------------
 
@@ -437,8 +423,8 @@ def _pair_dims(x: Summand, y: Summand) -> tuple[int, int]:
     Two uniserials at one point have both; for every other pair at most one
     is nonzero, so the Euler form (hom minus ext) gives the pair.
     """
-    if isinstance(x, Regular) and isinstance(y, Regular) and x.point == y.point:
-        d = x.degree * min(x.length, y.length)
+    if x.kind == y.kind == "R" and x.point == y.point:
+        d = x.degree * min(x.n, y.n)
         return d, d
     e = euler_form(x.dim_vector(), y.dim_vector())
     return max(e, 0), max(-e, 0)
@@ -448,10 +434,10 @@ def _counted(x) -> list[tuple[Summand, int]]:
     """Distinct indecomposable summands with their multiplicities."""
     if not isinstance(x, KroneckerDescriptor):
         return [(x, 1)]
-    out: list[tuple[Summand, int]] = [(Preprojective(n), m) for n, m in x.preprojective]
+    out = [(Summand("P", n), m) for n, m in x.preprojective]
     for label, deg, part in x.regular:
-        out += [(Regular(label, deg, t), k) for t, k in Counter(part).items()]
-    out += [(Preinjective(n), m) for n, m in x.preinjective]
+        out += [(Summand("R", t, label, deg), k) for t, k in Counter(part).items()]
+    out += [(Summand("I", n), m) for n, m in x.preinjective]
     return out
 
 

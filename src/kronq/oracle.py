@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, cycle, islice, product
 
-from .model import KroneckerDescriptor, Preinjective, Preprojective
+from .model import KroneckerDescriptor
 from .qbinom import gauss_int
 
 __all__ = [
@@ -259,11 +259,11 @@ def build_rep(module: KroneckerDescriptor, p: int, parameter_shift: int = 0) -> 
 
     r = c = 0  # first row and column of the next summand
     for s in module.summands():
-        if isinstance(s, Preprojective):
+        if s.kind == "P":
             for i in range(s.n):
                 alpha[r + i][c + i] = beta[r + i + 1][c + i] = 1
             r, c = r + s.n + 1, c + s.n
-        elif isinstance(s, Preinjective):
+        elif s.kind == "I":
             for i in range(s.n):
                 alpha[r + i][c + i] = beta[r + i][c + i + 1] = 1
             r, c = r + s.n, c + s.n + 1
@@ -272,7 +272,7 @@ def build_rep(module: KroneckerDescriptor, p: int, parameter_shift: int = 0) -> 
             ident, jordan = alpha, beta
             if tail == "inf":
                 ident, jordan, tail = beta, alpha, (0,)
-            d, size = s.degree, s.degree * s.length
+            d, size = s.degree, s.degree * s.n
             for i in range(size):
                 k = i % d  # row k of a companion block
                 ident[r + i][c + i] = 1

@@ -8,9 +8,7 @@ from kronq.model import (
     DimVector,
     KroneckerDescriptor,
     ModuleParseError,
-    Preinjective,
-    Preprojective,
-    Regular,
+    Summand,
     check_partition,
     conjugate_parts,
     contains_parts,
@@ -69,10 +67,9 @@ def test_reflections():
     assert r.reflect_plus() == r
     assert parse_module("P1").reflect_plus().dim_vector() == DimVector(1, 0)
     assert parse_module("I1").reflect_minus().dim_vector() == DimVector(0, 1)
-    with pytest.raises(ValueError):
-        parse_module("P0 + P1").reflect_plus()
-    with pytest.raises(ValueError):
-        parse_module("I0").reflect_minus()
+    # S+ kills the simple projective P0 and S- the simple injective I0
+    assert parse_module("P0 + P1").reflect_plus() == parse_module("P0")
+    assert parse_module("I0").reflect_minus().is_zero
 
 
 def test_reflections_are_mutually_inverse():
@@ -85,6 +82,28 @@ def test_reflections_are_mutually_inverse():
         assert m.reflect_minus().reflect_plus() == m
 
 
+def test_summand_kinds_and_dimension_vectors():
+    assert Summand("P", 0) != Summand("I", 0)
+    for n in range(1, 4):
+        p, i, r = Summand("P", n), Summand("I", n), Summand("R", n, "p")
+        assert p != i and p != r and i != r
+        assert p.dim_vector() == DimVector(n + 1, n)
+        assert i.dim_vector() == DimVector(n, n + 1)
+        assert r.dim_vector() == DimVector(n, n)
+    assert Summand("R", 3, "x", 2).dim_vector() == DimVector(6, 6)
+
+
+def test_dual_is_an_involution_that_swaps_p_and_i():
+    for text in ["P0", "2*P3 + I1", "R(p,[2,1]) + R(x@2,[1]) + P1 + 3*I0", "0"]:
+        m = parse_module(text)
+        d = m.dual()
+        assert d.dual() == m
+        assert d.dim_vector() == DimVector(m.dim_vector().b, m.dim_vector().a)
+        assert d.regular == m.regular
+        assert (d.preprojective, d.preinjective) == (m.preinjective, m.preprojective)
+    assert str(parse_module("2*P3 + R(p,[1]) + I1").dual()) == "P1 + R(p,[1]) + 2*I3"
+
+
 def test_reflect_plus_dimension_rule():
     for text in ["P1", "P2 + I1", "R(p,[2]) + P4", "I0 + P1", "2*P2 + R(a,[1])"]:
         m = parse_module(text)
@@ -93,44 +112,44 @@ def test_reflect_plus_dimension_rule():
 
 
 def test_hom_ext_table_examples():
-    assert hom_dim(Preprojective(1), Preprojective(3)) == 3
-    assert ext_dim(Preinjective(2), Preprojective(1)) == 5
-    assert hom_dim(Regular("p", 1, 2), Regular("p", 1, 3)) == 2
-    assert hom_dim(Preinjective(1), Preprojective(4)) == 0
-    assert ext_dim(Preprojective(2), Preprojective(0)) == 1
-    assert hom_dim(Preprojective(2), Preinjective(1)) == 3
-    assert ext_dim(Regular("p", 2, 1), Preprojective(0)) == 2
-    assert hom_dim(Regular("p", 1, 1), Regular("q", 1, 5)) == 0
-    assert ext_dim(Regular("p", 1, 1), Regular("q", 1, 5)) == 0
+    assert hom_dim(Summand("P", 1), Summand("P", 3)) == 3
+    assert ext_dim(Summand("I", 2), Summand("P", 1)) == 5
+    assert hom_dim(Summand("R", 2, "p", 1), Summand("R", 3, "p", 1)) == 2
+    assert hom_dim(Summand("I", 1), Summand("P", 4)) == 0
+    assert ext_dim(Summand("P", 2), Summand("P", 0)) == 1
+    assert hom_dim(Summand("P", 2), Summand("I", 1)) == 3
+    assert ext_dim(Summand("R", 1, "p", 2), Summand("P", 0)) == 2
+    assert hom_dim(Summand("R", 1, "p", 1), Summand("R", 5, "q", 1)) == 0
+    assert ext_dim(Summand("R", 1, "p", 1), Summand("R", 5, "q", 1)) == 0
 
 
 def test_hom_minus_ext_is_the_euler_form():
     summands = (
-        [Preprojective(n) for n in range(5)]
-        + [Preinjective(n) for n in range(5)]
-        + [Regular("p", 1, t) for t in range(1, 4)]
-        + [Regular("q", 1, t) for t in range(1, 3)]
-        + [Regular("r", 2, t) for t in range(1, 3)]
+        [Summand("P", n) for n in range(5)]
+        + [Summand("I", n) for n in range(5)]
+        + [Summand("R", t, "p", 1) for t in range(1, 4)]
+        + [Summand("R", t, "q", 1) for t in range(1, 3)]
+        + [Summand("R", t, "r", 2) for t in range(1, 3)]
     )
     for x in summands:
         for y in summands:
             expected = euler_form(x.dim_vector(), y.dim_vector())
             assert hom_dim(x, y) - ext_dim(x, y) == expected, (x, y)
     # across distinct tubes both dimensions vanish and so does the form
-    x, y = Regular("p", 1, 1), Regular("q", 1, 1)
+    x, y = Summand("R", 1, "p", 1), Summand("R", 1, "q", 1)
     assert hom_dim(x, y) == ext_dim(x, y) == 0
 
 
 def test_hom_table_against_numeric_intertwiners():
     summands = [
-        ("P0", Preprojective(0)),
-        ("P1", Preprojective(1)),
-        ("P2", Preprojective(2)),
-        ("I0", Preinjective(0)),
-        ("I1", Preinjective(1)),
-        ("R(p,[1])", Regular("p", 1, 1)),
-        ("R(p,[2])", Regular("p", 1, 2)),
-        ("R(x@2,[1])", Regular("x", 2, 1)),
+        ("P0", Summand("P", 0)),
+        ("P1", Summand("P", 1)),
+        ("P2", Summand("P", 2)),
+        ("I0", Summand("I", 0)),
+        ("I1", Summand("I", 1)),
+        ("R(p,[1])", Summand("R", 1, "p", 1)),
+        ("R(p,[2])", Summand("R", 2, "p", 1)),
+        ("R(x@2,[1])", Summand("R", 1, "x", 2)),
     ]
     for p in (2, 3):
         reps = {text: build_rep(parse_module(text), p) for text, _ in summands}
@@ -218,8 +237,8 @@ def test_counting_key_ignores_labels():
 
 
 def test_single_indecomposable():
-    assert parse_module("P2").single_indecomposable() == Preprojective(2)
-    assert parse_module("R(p,[3])").single_indecomposable() == Regular("p", 1, 3)
+    assert parse_module("P2").single_indecomposable() == Summand("P", 2)
+    assert parse_module("R(p,[3])").single_indecomposable() == Summand("R", 3, "p", 1)
     assert parse_module("R(p,[2,1])").single_indecomposable() is None
     assert parse_module("2*P0").single_indecomposable() is None
     assert parse_module("0").single_indecomposable() is None
