@@ -199,9 +199,8 @@ def cmd_table(args) -> int:
     m, n = module.dim_vector()
     engine = CountingEngine(memoize=not args.no_cache)
     cells = [
-        {"a": a, "b": b, "polynomial": engine.count(module, a, b).to_string()}
-        for a in range(m + 1)
-        for b in range(n + 1)
+        {"a": a, "b": b, "polynomial": poly.to_string()}
+        for (a, b), poly in engine.table(module).items()
     ]
     if args.format == "json":
         print(
@@ -232,14 +231,14 @@ def cmd_verify(args) -> int:
     engine = CountingEngine(memoize=not args.no_cache)
     rep = build_rep(module, args.prime)
     if cell is None:
-        table = submodule_table(rep)
+        table, values = submodule_table(rep), engine.table(module)
     else:
-        table = {cell: count_submodules(rep, *cell)}
+        table, values = {cell: count_submodules(rep, *cell)}, {cell: engine.count(module, *cell)}
     name = str(module)
     records = []
     mismatches = 0
     for (a, b), expected in sorted(table.items()):
-        got = engine.count(module, a, b).eval_integer(args.prime)
+        got = values[a, b].eval_integer(args.prime)
         ok = got == expected
         mismatches += not ok
         records.append(

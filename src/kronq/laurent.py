@@ -325,19 +325,26 @@ class LaurentPoly:
         return hash((self.lo, self.cs))
 
     def to_string(self, var: str = "q") -> str:
-        if not self.cs:
+        cs, lo = self.cs, self.lo
+        if not cs:
             return "0"
-        terms = []
-        for e, v in reversed(self.items()):
-            mag = abs(v)
+        terms = []  # " + body" or " - body", highest exponent first
+        for i in range(len(cs) - 1, -1, -1):
+            v = cs[i]
+            if not v:
+                continue
+            e, sign = lo + i, " + "
+            if v < 0:
+                sign, v = " - ", -v
             if e == 0:
-                body = str(mag)
+                terms.append(f"{sign}{v}")
+            elif v == 1:
+                terms.append(f"{sign}{var}" if e == 1 else f"{sign}{var}^{e}")
             else:
-                power = var if e == 1 else f"{var}^{e}"
-                body = power if mag == 1 else f"{mag}*{power}"
-            terms.append(("- " if v < 0 else "+ ") + body)
-        out = " ".join(terms)
-        return out[2:] if out[0] == "+" else "-" + out[2:]
+                terms.append(f"{sign}{v}*{var}" if e == 1 else f"{sign}{v}*{var}^{e}")
+        first = terms[0]
+        terms[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+        return "".join(terms)
 
     def __str__(self):
         return self.to_string()

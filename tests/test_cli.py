@@ -12,6 +12,7 @@ import pytest
 
 import kronq.cli as cli
 from kronq.cli import build_parser, main
+from kronq.closed_form import euler_char_formula
 from kronq.laurent import parse_poly
 from kronq.model import parse_module
 from kronq.oracle import _monic_irreducibles, point_shortfalls, points_of_degree
@@ -458,6 +459,21 @@ def test_count_too_deep_exit_1(capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+
+
+def test_count_deep_preprojective_plus_preinjective(capsys):
+    # the split rule counts P700 + I2 from the two closed forms, so a count
+    # whose P700 recursion overflows the interpreter's stack exits 0
+    code, out, err = run(capsys, "count", "-m", "P700 + I2", "-d", "500,499", "--euler")
+    assert (code, err) == (0, "")
+    euler = sum(
+        euler_char_formula("preinjective", 2, f, g)
+        * euler_char_formula("preprojective", 700, 500 - f, 499 - g)
+        for f in range(3)
+        for g in range(4)
+    )
+    assert euler == 10393490
+    assert out.splitlines()[-1] == f"euler characteristic: {euler}"
 
 
 def test_verify_over_work_bound_exit_1(capsys):

@@ -205,10 +205,7 @@ def test_dropped_engine_frees_a_dual_pair_without_gc():
     try:
         engine = CountingEngine()
         m = parse_module("I3 + R(p,[1])")
-        dim = m.dim_vector()
-        for a in range(dim.a + 1):
-            for b in range(dim.b + 1):
-                engine.count(m, a, b)
+        engine.table(m)
         rec = engine._record(m)
         dual = engine._records[rec.dual]
         assert dual.module == parse_module("P3 + R(p,[1])")
@@ -219,7 +216,7 @@ def test_dropped_engine_frees_a_dual_pair_without_gc():
         # value, held by the dual's memo only
         value = dual.memo[(3, 1)]
         assert rec.memo is None
-        assert engine.count(m, 3, 2) is value
+        assert engine.table(m)[(3, 2)] is value
         refs = weakref.ref(engine), weakref.ref(rec), weakref.ref(dual)
         del rec, dual
         held = sys.getrefcount(value)
@@ -408,6 +405,28 @@ def test_direct_sums_split_by_the_euler_form():
     for first, second in [("I1", "P1"), ("R(p,[2])", "P2")]:
         blocks = [parse_module(first), parse_module(second)]
         assert _splits(blocks) and not _splits(blocks[::-1]), first
+
+
+def test_split_counts_equal_the_recursive_table():
+    # count splits a module into its I-, regular and P-parts; table runs
+    # the memoized recursion on the whole module, cell by cell
+    rng = random.Random(29)
+    for _ in range(25):
+        summands = []
+        for _ in range(rng.randint(2, 4)):
+            kind = rng.choice("PIRX")
+            if kind in "PI":
+                summands.append(f"{kind}{rng.randint(0, 5)}")
+            elif kind == "R":
+                summands.append(f"R({rng.choice('pq')},[{rng.randint(1, 3)}])")
+            else:
+                summands.append(f"R(x@2,[{rng.randint(1, 2)}])")
+        m = parse_module(" + ".join(summands))
+        table = CountingEngine().table(m)
+        split = CountingEngine()
+        assert list(table) == list(_cells(m))
+        for (a, b), value in table.items():
+            assert split.count(m, a, b) == value, (m, a, b)
 
 
 def test_rigid_counts_have_the_grassmannian_degree():
