@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from functools import cache
 
+from .model import check_partition
 from .qbinom import gauss_int
 
 __all__ = [
@@ -160,9 +161,7 @@ def _generic_census(lam: Part, p: int) -> dict[tuple[Part, Part], int]:
 @cache
 def subgroup_census(lam, p: int) -> dict[tuple[Part, Part], int]:
     """Map (subgroup type, quotient type) -> count, exhaustively enumerated."""
-    lam = tuple(lam)
-    if any(x <= 0 for x in lam) or list(lam) != sorted(lam, reverse=True):
-        raise ValueError(f"not a partition: {lam}")
+    lam = check_partition(lam)
     if not lam:
         return {((), ()): 1}
     if lam[0] == 1:

@@ -18,17 +18,18 @@ Symmetric Functions and Hall Polynomials, ch. II):
 
 The single polynomial g, which only ``hall_polynomial`` (the ``kronq hall``
 command) needs, is the coefficient of u_lam in u_nu * u_mu in the Hall
-algebra, and only that coefficient is computed.  For kappa inside lam with
-lam/kappa a vertical r-strip, the Pieri rule (Macdonald, ch. II (4.6)) gives
+algebra, and only that coefficient is computed.  A vertical r-strip
+lam/kappa takes one box from each of the last k_i rows of the i-th run of
+n_i equal parts of lam, with sum_i k_i = r, so each kappa comes from one
+choice of the k_i.  The Pieri rule (Macdonald, ch. II (4.6)) gives
 
     [u_lam] u_kappa * e_r = x^(n(lam) - n(kappa) - r(r-1)/2 - sum_i k_i (n_i - k_i))
                             * prod_i gauss(k_i, n_i)
 
-with n_i = lam'_i - lam'_{i+1}, k_i = lam'_i - kappa'_i and
-n(lam) = sum_i (i - 1) lam_i.  With E_rho the product of e over the columns
-of rho, [u_lam] u_nu * E_rho is the sum over such kappa of that coefficient
-times [u_kappa] u_nu * E_rho', rho' being rho without its last column (of
-length r).  Since E_mu = u_mu + (terms strictly below mu in dominance order),
+with n(lam) = sum_i (i - 1) lam_i.  With E_rho the product of e over the
+columns of rho, [u_lam] u_nu * E_rho is the sum over such kappa of that
+coefficient times [u_kappa] u_nu * E_rho', rho' being rho without its last
+column (of length r).  Since E_mu = u_mu + (terms strictly below mu in dominance order),
 
     g(lam; nu, mu) = [u_lam] u_nu * E_mu - sum over sigma < mu inside lam of
                      [u_sigma]E_mu * g(lam; nu, sigma),
@@ -41,6 +42,7 @@ exhaustive subgroup enumeration at small primes.
 from __future__ import annotations
 
 from functools import cache
+from itertools import groupby, product
 
 from .laurent import ONE, ZERO, LaurentPoly
 from .model import KroneckerDescriptor, check_partition, conjugate_parts, contains_parts
@@ -72,23 +74,6 @@ def subpartitions(lam: Part) -> tuple[Part, ...]:
 
     grow(0, lam[0] if lam else 0, [])
     return tuple(out)
-
-
-@cache
-def _pieri_coeff(lam: Part, sigma: Part, r: int) -> LaurentPoly:
-    """Coefficient of u_lam in u_sigma * e_r: the number of elementary
-    subgroups of rank r with quotient type sigma, as a polynomial, by
-    Macdonald's closed product (module docstring)."""
-    lc = conjugate_parts(lam) + (0,)
-    sc = conjugate_parts(sigma)
-    sc += (0,) * (len(lc) - len(sc))
-    exp = _n(lam) - _n(sigma) - r * (r - 1) // 2
-    coeff = ONE
-    for i in range(len(lc) - 1):
-        n, k = lc[i] - lc[i + 1], lc[i] - sc[i]
-        coeff = coeff * gauss(k, n)
-        exp -= k * (n - k)
-    return coeff.shift(exp)
 
 
 def _n(lam: Part) -> int:
@@ -123,12 +108,24 @@ def _times_e(lam: Part, nu: Part, cols: Part) -> LaurentPoly:
     if not cols:
         return ONE if lam == nu else ZERO
     r = cols[-1]
+    runs = [len(tuple(g)) for _, g in groupby(lam)]
     out = ZERO
-    for kappa in _by_weight(lam).get(sum(lam) - r, ()):
-        if contains_parts(kappa, nu) and all(
-            l - k <= 1 for l, k in zip(lam, kappa + (0,) * r)
-        ):
-            out += _pieri_coeff(lam, kappa, r) * _times_e(kappa, nu, cols[:-1])
+    for ks in product(*(range(min(n, r) + 1) for n in runs)):
+        if sum(ks) != r:
+            continue
+        kappa, end = list(lam), 0
+        for n, k in zip(runs, ks):
+            end += n
+            kappa[end - k : end] = [part - 1 for part in kappa[end - k : end]]
+        kappa = tuple(part for part in kappa if part)
+        if contains_parts(kappa, nu):
+            exp = _n(lam) - _n(kappa) - r * (r - 1) // 2
+            coeff = ONE
+            for n, k in zip(runs, ks):
+                if 0 < k < n:  # gauss(0, n) = gauss(n, n) = 1
+                    coeff = coeff * gauss(k, n)
+                    exp -= k * (n - k)
+            out += coeff.shift(exp) * _times_e(kappa, nu, cols[:-1])
     return out
 
 

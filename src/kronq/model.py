@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator, NamedTuple
 
@@ -143,13 +142,14 @@ def parse_partition(text: str) -> tuple[int, ...]:
     return tuple(parts)
 
 
-@dataclass(frozen=True)
-class KroneckerDescriptor:
+class KroneckerDescriptor(NamedTuple):
     """Multiset of indecomposable summands in canonical order.
 
     ``preprojective`` and ``preinjective`` hold (index, multiplicity) pairs
     sorted by index; ``regular`` holds (label, degree, parts) triples sorted
-    by label, one per point, with parts a nonempty partition tuple.
+    by label, one per point, with parts a nonempty partition tuple.  As a
+    NamedTuple it equals the plain tuple of those three fields; ``+`` is the
+    direct sum, not concatenation.
     """
 
     preprojective: tuple[tuple[int, int], ...] = ()

@@ -52,9 +52,9 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, cycle, islice, product
+from typing import NamedTuple
 
 from .model import KroneckerDescriptor
 from .qbinom import gauss_int
@@ -80,8 +80,7 @@ class PointCapacityError(ValueError):
     """The prime field is too small to host the requested points."""
 
 
-@dataclass(frozen=True)
-class MatrixRep:
+class MatrixRep(NamedTuple):
     """A pair of dim1 x dim2 matrices over F_p (maps vertex 2 -> vertex 1)."""
 
     p: int

@@ -80,7 +80,10 @@ def test_schema_requires_an_integer_value():
 
 def test_cli_import_leaves_fractions_and_the_census_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
-    probe = "import sys, kronq.cli; print(sorted({'fractions', 'kronq.abelian'} & set(sys.modules)))"
+    probe = (
+        "import sys, kronq.cli; print(sorted("
+        "{'dataclasses', 'fractions', 'inspect', 'kronq.abelian'} & set(sys.modules)))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
