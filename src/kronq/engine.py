@@ -43,22 +43,30 @@ diagonal regular counts:
      regular, and Hom(R, P) = 0 puts it inside M_R (Ringel, Tame algebras
      and integral quadratic forms, LNM 1099, 1984; Simson, Skowronski,
      Elements II).  The second rule would map a regular-only module to
-     itself, so its diagonal goes on to step 6.  The rigid rule: for a
+     itself, so its diagonal goes on to step 7.  The rigid rule: for a
      rigid module (Ext^1(M, M) = 0) of dimension alpha the quiver
      Grassmannian Gr_e(M) is empty or smooth of dimension <e, alpha - e>
      (Caldero, Reineke, J. Pure Appl. Algebra 212, 2008), so the count of
      e = (a, b) vanishes when that Euler form is negative;
-  3. a single indecomposable with a closed form is answered directly;
-  4. any preprojective summand: recurse into the reflected module S+M
+  3. the self-dual fold: when M has as many P_n as I_n for every n, D(M)
+     is M itself (D keeps every tube), so m = n, and U -> (M/U)* matches
+     the submodules of dimension (a, b) with those of dimension
+     (n - b, m - a).  A cell with a + b > m is answered by its mirror,
+     which has a + b < m, so the fold never loops.  The recursion of a
+     cell with a + b <= m reads only such cells, so a regular record's
+     memo holds about half the table, and every Gaussian in its sums has
+     upper argument m - 2b > 0;
+  4. a single indecomposable with a closed form is answered directly;
+  5. any preprojective summand: recurse into the reflected module S+M
      (Bernstein, Gelfand, Ponomarev, Russian Math. Surveys 28, 1973), which
      strictly lowers the largest preprojective index;
-  5. otherwise any preinjective summand: count in the dual module DM.  The
+  6. otherwise any preinjective summand: count in the dual module DM.  The
      duality D = Hom_k(-, k) swaps P_n and I_n and keeps each tube (Assem,
      Simson, Skowronski, Elements I, III.3), and U -> (M/U)* matches the
      submodules of dimension (a, b) with those of D(M) of dimension
-     (n - b, m - a); D(M) has a preprojective summand, so it takes step 4,
+     (n - b, m - a); D(M) has a preprojective summand, so it takes step 5,
      and its memo is the only one that stores these values;
-  6. otherwise the module is regular: counts with b > a vanish by the
+  7. otherwise the module is regular: counts with b > a vanish by the
      first defect-bound rule, for a > b the same reflection lowers a, and
      on the diagonal the count factorizes over the tubes, each point
      contributing its subgroup counts by order (Birkhoff's product, see
@@ -127,7 +135,7 @@ class _Record:
     since Hom(R, P) = 0, is M_I plus a submodule of M_R of dimension
     (a - a_i, a - a_i).  ``regular_only`` turns that second rule off,
     since it would map M = M_R to itself.  ``rigid`` switches on the
-    rigid rule.
+    rigid rule, and ``self_dual`` (D(M) = M) the self-dual fold.
     """
 
     def __init__(self, module: KroneckerDescriptor, closed, memoize: bool):
@@ -136,6 +144,7 @@ class _Record:
         self.t = sum(k for _, k in module.preinjective)
         self.a_i = sum(n * k for n, k in module.preinjective)
         self.regular_only = module.is_regular_only
+        self.self_dual = module.preprojective == module.preinjective
         self.rigid = ext_dim(module, module) == 0
         self.closed = closed
         self.via_dual = closed is None and bool(module.preinjective) and not module.preprojective
@@ -274,6 +283,8 @@ class CountingEngine:
             return self._count(self._regular(rec), a - rec.a_i, a - rec.a_i)
         if rec.rigid and a * (rec.m - a) + b * (rec.n - b) - 2 * b * (rec.m - a) < 0:
             return ZERO  # <e, alpha - e> < 0
+        if rec.self_dual and a + b > rec.m:
+            return self._count(rec, rec.n - b, rec.m - a)  # D(M) = M, and m = n
         memo = rec.memo
         if memo is not None:
             hit = memo.get((a, b))

@@ -182,11 +182,21 @@ def _subgroups(lc: Part, mu: Part) -> LaurentPoly:
 @cache
 def _weight_sums(lam: Part) -> tuple[LaurentPoly, ...]:
     """Entry w: the number of subgroups of order x^w in the abelian group of
-    type lam; used by the diagonal regular count."""
-    lc = conjugate_parts(lam)
-    out = [ZERO] * (sum(lam) + 1)
+    type lam; used by the diagonal regular count.
+
+    H -> H^perp (the annihilator in the dual group, which is isomorphic to
+    the group) matches the subgroups of order x^w with those of order
+    x^(|lam| - w) at every prime, so the two entries are equal as
+    polynomials, and only the lower half is summed.
+    """
+    lc, total = conjugate_parts(lam), sum(lam)
+    out = [ZERO] * (total + 1)
     for mu in subpartitions(lam):
-        out[sum(mu)] += _subgroups(lc, mu)
+        w = sum(mu)
+        if 2 * w <= total:
+            out[w] += _subgroups(lc, mu)
+    for w in range(total // 2 + 1, total + 1):
+        out[w] = out[total - w]
     return tuple(out)
 
 

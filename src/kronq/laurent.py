@@ -81,19 +81,21 @@ def _unpack(n: int, width: int, count: int) -> list[int]:
     return limbs.tolist()
 
 
-def _packed_sum(terms, count: int) -> list[int]:
-    """The ``count`` coefficients of sum_t xs_t * ys_t * q^at_t over the
-    (xs, ys, at) of terms, at >= 0, as one big-int sum of packed products.
-    Every coefficient is at most sum_t sum|xs_t| * sum|ys_t| in absolute
-    value, and the limbs are wide enough for that bound."""
-    width = _limb_width(sum(sum(map(abs, xs)) * sum(map(abs, ys)) for xs, ys, _ in terms))
-    acc = sum(_pack(xs, width) * _pack(ys, width) << 8 * width * at for xs, ys, at in terms)
-    return _unpack(acc, width, count)
-
-
 def _convolve(xs, ys) -> list[int]:
-    """Exact integer convolution via Kronecker substitution."""
-    return _packed_sum([(xs, ys, 0)], len(xs) + len(ys) - 1)
+    """Exact integer convolution via Kronecker substitution.  Every
+    coefficient is at most sum|xs| * sum|ys| in absolute value, and the
+    limbs are wide enough for that bound."""
+    width = _limb_width(sum(map(abs, xs)) * sum(map(abs, ys)))
+    return _unpack(_pack(xs, width) * _pack(ys, width), width, len(xs) + len(ys) - 1)
+
+
+def _packed(p: "LaurentPoly", width: int) -> int:
+    """p's coefficients packed into limbs of ``width`` bytes, kept on p, so
+    a value that enters many sums at one width is packed once."""
+    pk = p._pk
+    if pk is None or pk[0] != width:
+        pk = p._pk = (width, _pack(p.cs, width))
+    return pk[1]
 
 
 def sum_of_products(terms) -> "LaurentPoly":
@@ -104,7 +106,9 @@ def sum_of_products(terms) -> "LaurentPoly":
     with signed digits, so negative coefficients come back exactly.  A
     single product, or terms with at most _PACK_THRESHOLD^2 coefficient
     pairs in all, where packing costs more than it saves, take ordinary
-    multiplications.
+    multiplications.  Every coefficient of the sum is at most
+    sum_t sum|g_t| * sum|h_t| in absolute value, and the limbs are wide
+    enough for that bound.
     """
     terms = [(g, h, s) for g, h, s in terms if g.cs and h.cs]
     pairs = sum(len(g.cs) * len(h.cs) for g, h, _ in terms)
@@ -112,16 +116,21 @@ def sum_of_products(terms) -> "LaurentPoly":
         return sum(((g * h).shift(s) for g, h, s in terms), ZERO)
     lo = min(g.lo + h.lo + s for g, h, s in terms)
     top = max(g.lo + h.lo + s + len(g.cs) + len(h.cs) - 1 for g, h, s in terms)
-    packed = [(g.cs, h.cs, g.lo + h.lo + s - lo) for g, h, s in terms]
-    return LaurentPoly.dense(lo, _packed_sum(packed, top - lo))
+    width = _limb_width(sum(sum(map(abs, g.cs)) * sum(map(abs, h.cs)) for g, h, _ in terms))
+    acc = sum(
+        _packed(g, width) * _packed(h, width) << 8 * width * (g.lo + h.lo + s - lo)
+        for g, h, s in terms
+    )
+    return LaurentPoly.dense(lo, _unpack(acc, width, top - lo))
 
 
 class LaurentPoly:
     """Immutable Laurent polynomial sum_i cs[i] * q^(lo + i), canonical:
     ``cs`` is a tuple whose first and last entries are nonzero, and zero is
-    ``lo, cs = 0, ()``."""
+    ``lo, cs = 0, ()``.  ``_pk`` is None or the (width, int) that
+    :func:`sum_of_products` last packed ``cs`` into."""
 
-    __slots__ = ("lo", "cs")
+    __slots__ = ("lo", "cs", "_pk")
 
     def __init__(self, coeffs=()):
         """From an exponent -> coefficient dict or (exponent, coefficient)
@@ -132,7 +141,7 @@ class LaurentPoly:
         for e, v in pairs:
             vals[e - lo] += v
         p = LaurentPoly.dense(lo, vals)
-        self.lo, self.cs = p.lo, p.cs
+        self.lo, self.cs, self._pk = p.lo, p.cs, None
 
     @classmethod
     def dense(cls, lo: int, vals) -> "LaurentPoly":
@@ -144,6 +153,7 @@ class LaurentPoly:
             i += 1
         self = object.__new__(cls)
         self.lo, self.cs = (lo + i, tuple(vals[i:j])) if j else (0, ())
+        self._pk = None
         return self
 
     @classmethod

@@ -319,7 +319,11 @@ def regular(parts, point: str = "p", degree: int = 1) -> KroneckerDescriptor:
 
 
 def parse_module(text: str) -> KroneckerDescriptor:
-    """Parse the descriptor grammar, e.g. ``2*P0 + P3 + R(p1,[2,1]) + I1``."""
+    """Parse the descriptor grammar, e.g. ``2*P0 + P3 + R(p1,[2,1]) + I1``.
+
+    The multiplicities and each point's parts are collected summand by
+    summand, with every error raised at its summand, and the descriptor is
+    built once at the end."""
     s = text
     i, n = 0, len(s)
 
@@ -340,7 +344,9 @@ def parse_module(text: str) -> KroneckerDescriptor:
     if i < n and s[i] == "0" and skip_ws(i + 1) == n:
         return KroneckerDescriptor()
 
-    out = KroneckerDescriptor()
+    pp: Counter = Counter()
+    pi: Counter = Counter()
+    points: dict[str, tuple[int, list[int]]] = {}  # label -> (degree, parts)
     first = True
     while i < n:
         if not first:
@@ -359,7 +365,7 @@ def parse_module(text: str) -> KroneckerDescriptor:
         kind = s[i]
         if kind in ("P", "I"):
             idx, i = read_nat(i + 1, "summand index")
-            piece = preprojective(idx, mult) if kind == "P" else preinjective(idx, mult)
+            (pp if kind == "P" else pi)[idx] += mult
         elif kind == "R":
             i += 1
             if i == n or s[i] != "(":
@@ -393,25 +399,28 @@ def parse_module(text: str) -> KroneckerDescriptor:
             if i == n or s[i] != ")":
                 raise ModuleParseError("expected ')'", i)
             i += 1
+            # check the parts before the multiplicity, or 0*R(p,[0]) passes
             try:
-                # check the parts before the multiplicity, or 0*R(p,[0]) passes
-                part = check_partition(sorted(parts, reverse=True))
-                piece = KroneckerDescriptor.build(
-                    {}, {}, [(label, degree, sorted(part * mult, reverse=True))]
-                )
+                check_partition(sorted(parts, reverse=True))
             except ValueError as exc:
                 raise ModuleParseError(str(exc), i) from None
+            if mult:  # zero copies add no point, so their degree goes unchecked
+                if degree <= 0:
+                    raise ModuleParseError("point degrees must be positive", i)
+                d0, got = points.setdefault(label, (degree, []))
+                if d0 != degree:
+                    raise ModuleParseError(
+                        f"point {label!r} used with degrees {d0} and {degree}", i
+                    )
+                got += parts * mult
         else:
             raise ModuleParseError(f"unknown summand kind {kind!r}", i)
-        try:
-            out = out + piece
-        except ValueError as exc:
-            raise ModuleParseError(str(exc), i) from None
         first = False
         i = skip_ws(i)
     if first:
         raise ModuleParseError("empty module descriptor", 0)
-    return out
+    reg = [(label, deg, sorted(parts, reverse=True)) for label, (deg, parts) in points.items()]
+    return KroneckerDescriptor.build(pp, pi, reg)
 
 
 # -- morphism and extension dimensions ------------------------------------

@@ -403,7 +403,9 @@ def _walk(rep: MatrixRep, dims) -> list[dict[int, int]]:
             _add(echelon, ta[s : s + full], p)
             _add(echelon, tb[s : s + full], p)
 
-    hists: list[dict[int, int]] = [{0: 1}] + [{} for _ in floors[1:]]
+    # per depth, the count of visited subspaces by image rank
+    hists = [[0] * (full + 1) for _ in floors]
+    hists[0][0] = 1
 
     def visit(depth: int, top: int, offsets: list[int]) -> None:
         # counts the children of a node and walks on from those that have
@@ -418,15 +420,14 @@ def _walk(rep: MatrixRep, dims) -> list[dict[int, int]]:
             for o in offsets:
                 if w < full:
                     grow(o + place[c])
-                k = len(echelon)
-                hist[k] = hist.get(k, 0) + 1
+                hist[len(echelon)] += 1
                 if grandchildren:
                     visit(depth + 1, c, offsets)
                 del echelon[w:]
 
     if last:
         visit(0, n, [0])
-    return hists
+    return [{w: k for w, k in enumerate(hist) if k} for hist in hists]
 
 
 def check_work(

@@ -13,6 +13,7 @@ from kronq.closed_form import (
     euler_char_formula,
 )
 from kronq.engine import CountingEngine, count
+from kronq.hall import regular_diagonal_count, subpartitions
 from kronq.laurent import ONE, ZERO, parse_poly, sum_of_products
 from kronq.model import (
     DimVector,
@@ -637,3 +638,48 @@ def test_relabelled_points_give_the_same_counts():
             assert fresh.count(relabelled, a, b) == count(m, a, b), (m, labels, a, b)
 
     check()
+
+
+def _self_dual_modules():
+    """Every tube of weight at most 7 at one degree-1 point, some of them
+    beside a second point of degree 1 or 2, and P_k + I_k beside each tube
+    for k <= 2."""
+    tubes = [
+        f"R(p,[{','.join(map(str, lam))}])"
+        for lam in subpartitions((7,) * 7)
+        if 0 < sum(lam) <= 7
+    ]
+    out = tubes + [f"{t} + R(q,[2])" for t in tubes[:10]]
+    out += [f"{t} + R(r@2,[1])" for t in tubes[:10]]
+    return out + [f"P{k} + {t} + I{k}" for k in range(3) for t in tubes]
+
+
+def test_self_dual_fold_matches_the_unfolded_recursion():
+    # D(M) = M when M has as many P_n as I_n, so the engine reads a cell
+    # with a + b > m from its mirror (n - b, m - a); recursion_a sums the
+    # cell itself, with the signed cancellation the fold avoids
+    engine = CountingEngine()
+    for text in _self_dual_modules():
+        m = parse_module(text)
+        dm, dn = m.dim_vector()
+        assert dm == dn and m.dual() == m, text
+        for a, b in _cells(m):
+            if a + b > dm and a > b:
+                assert engine.recursion_a(m, a, b) == engine.count(m, a, b), (text, a, b)
+        if m.is_regular_only:
+            for a in range(dm // 2 + 1, dm + 1):
+                assert regular_diagonal_count(m, a) == engine.count(m, a, a), (text, a)
+
+
+def test_self_dual_records_memoize_only_up_to_the_anti_diagonal():
+    for text in _self_dual_modules()[::7]:
+        engine = CountingEngine()
+        m = parse_module(text)
+        table = engine.table(m)
+        dm = m.dim_vector().a
+        assert all(table[a, b] == table[dm - b, dm - a] for a, b in table), text
+        if m.is_regular_only:
+            assert engine._record(m).memo, text
+        for rec in engine._records:
+            if rec.module.is_regular_only:
+                assert all(a + b <= rec.m for a, b in rec.memo), (text, rec.module)

@@ -235,3 +235,14 @@ def test_weight_sums_match_summed_hall_polynomials():
                 if sum(mu) + sum(nu) == total:
                     old[sum(mu)] = old[sum(mu)] + hall_polynomial(lam, nu, mu)
         assert _weight_sums(lam) == tuple(old), lam
+
+
+def test_weight_sums_equal_the_unmirrored_birkhoff_sums():
+    # _weight_sums sums only |mu| <= |lam| / 2 and mirrors the rest
+    # (H -> H^perp); here every subpartition is summed
+    for lam in _partitions_up_to(12):
+        lc = conjugate_parts(lam)
+        full = [ZERO] * (sum(lam) + 1)
+        for mu in subpartitions(lam):
+            full[sum(mu)] = full[sum(mu)] + _subgroups(lc, mu)
+        assert _weight_sums(lam) == tuple(full), lam

@@ -345,3 +345,20 @@ def test_parse_render_round_trip_on_random_polynomials():
         assert parse_poly(str(-p)) == -p
 
     check()
+
+
+def test_sum_of_products_packs_a_reused_operand_once_per_width(monkeypatch):
+    # g enters a sum with 1-byte limbs and then one with 9-byte limbs; its
+    # cached packing follows the width, and each sum stays exact
+    monkeypatch.setattr(laurent, "_PACK_THRESHOLD", 0)
+    g = LaurentPoly.dense(-1, [1, 2, 1])
+    small = [(g, Q, 0), (g, LaurentPoly.dense(0, [1, -1]), 2)]
+    big_h = LaurentPoly.const(2**62)
+    big = [(g, big_h, 0), (g, big_h, 1)]  # bound 2 * 4 * 2^62 = 2^65
+    for terms, width in ((small, 1), (big, 9), (big, 9), (small, 1)):
+        bound = sum(sum(map(abs, x.cs)) * sum(map(abs, y.cs)) for x, y, _ in terms)
+        assert _limb_width(bound) == width
+        assert sum_of_products(terms) == _sum_by_double_loop(terms)
+        for x, _, _ in terms:
+            assert x._pk == (width, _pack(x.cs, width))
+    assert big_h._pk == (9, _pack(big_h.cs, 9))

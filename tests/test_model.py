@@ -204,6 +204,20 @@ def test_parse_repeated_regular_summand():
     assert parse_module("0*R(p,[1]) + P1") == parse_module("0*I2 + P1")
 
 
+def test_parse_builds_the_descriptor_once(monkeypatch):
+    calls = []
+    build = KroneckerDescriptor.build
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(KroneckerDescriptor, "build", staticmethod(counted))
+    m = parse_module("2*P0 + P3 + R(p,[2,1]) + I1")
+    assert len(calls) == 1
+    assert m == KroneckerDescriptor(((0, 2), (3, 1)), ((1, 1),), (("p", 1, (2, 1)),))
+
+
 def test_parse_errors():
     for bad, pos_at_least in [
         ("P1 + Q2", 5),
@@ -216,8 +230,12 @@ def test_parse_errors():
         with pytest.raises(ModuleParseError) as exc:
             parse_module(bad)
         assert exc.value.position >= pos_at_least, bad
-    with pytest.raises(ModuleParseError):
+    with pytest.raises(ModuleParseError) as exc:
         parse_module("R(p,[1]) + R(p@2,[1])")  # degree conflict on one label
+    assert (exc.value.message, exc.value.position) == ("point 'p' used with degrees 1 and 2", 21)
+    with pytest.raises(ModuleParseError) as exc:
+        parse_module("P1 + R(q@0,[1])")
+    assert (exc.value.message, exc.value.position) == ("point degrees must be positive", 15)
 
 
 def test_parse_reads_only_decimal_digits():
