@@ -101,7 +101,10 @@ def _is_prime_power(n: int) -> bool:
     d, s = r - 1, 0
     while not d & 1:
         d, s = d >> 1, s + 1
-    for a in _MR_BASES:
+    # at or past the bound no number of passing bases is a proof, so a root
+    # there gets the first base only: a witness still settles it, a pass
+    # refuses it at once
+    for a in _MR_BASES if r < _MR_PROVEN else _MR_BASES[:1]:
         x = pow(a, d, r)
         if x == 1 or x == r - 1:
             continue
@@ -113,8 +116,9 @@ def _is_prime_power(n: int) -> bool:
             return False  # a witnesses that r is composite
     if r >= _MR_PROVEN:
         raise ValueError(
-            f"cannot decide whether {n} is a prime power: {r} passes all 13 "
-            f"Miller-Rabin bases, which prove primality only below {_MR_PROVEN}"
+            f"cannot decide whether {n} is a prime power: {r} passes "
+            f"Miller-Rabin to base 2, and the 13 bases 2, 3, ..., 41 prove "
+            f"primality only below {_MR_PROVEN}"
         )
     return True
 

@@ -43,30 +43,28 @@ diagonal regular counts:
      regular, and Hom(R, P) = 0 puts it inside M_R (Ringel, Tame algebras
      and integral quadratic forms, LNM 1099, 1984; Simson, Skowronski,
      Elements II).  The second rule would map a regular-only module to
-     itself, so its diagonal goes on to step 7.  The rigid rule: for a
+     itself, so its diagonal goes on to step 6.  The rigid rule: for a
      rigid module (Ext^1(M, M) = 0) of dimension alpha the quiver
      Grassmannian Gr_e(M) is empty or smooth of dimension <e, alpha - e>
      (Caldero, Reineke, J. Pure Appl. Algebra 212, 2008), so the count of
      e = (a, b) vanishes when that Euler form is negative;
-  3. the self-dual fold: when M has as many P_n as I_n for every n, D(M)
-     is M itself (D keeps every tube), so m = n, and U -> (M/U)* matches
-     the submodules of dimension (a, b) with those of dimension
-     (n - b, m - a).  A cell with a + b > m is answered by its mirror,
-     which has a + b < m, so the fold never loops.  The recursion of a
-     cell with a + b <= m reads only such cells, so a regular record's
-     memo holds about half the table, and every Gaussian in its sums has
-     upper argument m - 2b > 0;
+  3. the duality D = Hom_k(-, k) swaps P_n and I_n and keeps each tube
+     (Assem, Simson, Skowronski, Elements I, III.3), and U -> (M/U)*
+     matches the submodules of dimension (a, b) with those of D(M) of
+     dimension (n - b, m - a); a record reads each cell with a + b > fold
+     from D(M).  When M has as many P_n as I_n for every n, D(M) = M,
+     m = n and the fold is m: the mirror has a + b < m, so the fold never
+     loops, and a cell with a + b <= m reads only such cells, so a regular
+     record's memo holds about half the table and every Gaussian in its
+     sums has upper argument m - 2b > 0.  When M has preinjective but no
+     preprojective summands and no closed form, the fold is -1: D(M) takes
+     step 5, and its memo alone stores these values.  Otherwise the fold
+     is m + n, which no cell passes;
   4. a single indecomposable with a closed form is answered directly;
   5. any preprojective summand: recurse into the reflected module S+M
      (Bernstein, Gelfand, Ponomarev, Russian Math. Surveys 28, 1973), which
      strictly lowers the largest preprojective index;
-  6. otherwise any preinjective summand: count in the dual module DM.  The
-     duality D = Hom_k(-, k) swaps P_n and I_n and keeps each tube (Assem,
-     Simson, Skowronski, Elements I, III.3), and U -> (M/U)* matches the
-     submodules of dimension (a, b) with those of D(M) of dimension
-     (n - b, m - a); D(M) has a preprojective summand, so it takes step 5,
-     and its memo is the only one that stores these values;
-  7. otherwise the module is regular: counts with b > a vanish by the
+  6. otherwise the module is regular: counts with b > a vanish by the
      first defect-bound rule, for a > b the same reflection lowers a, and
      on the diagonal the count factorizes over the tubes, each point
      contributing its subgroup counts by order (Birkhoff's product, see
@@ -117,14 +115,15 @@ class _Record:
     """What the engine knows about one descriptor.
 
     ``closed`` is ``(counter, index)`` when a closed form answers every
-    count of the module.  ``via_dual`` is set when the module has
-    preinjective but no preprojective summands and no closed form: every
-    count is then read from the dual module's record.  ``down_a`` is the
-    position of the plus-reflected record of recursion_a, ``dual`` that of
-    the dual module's record and ``regular`` that of the record of the
-    regular part M_R; all three are filled in on first use.  ``memo`` maps
-    (a, b) to a count, or is None when memoization is off or the record
-    answers through its dual.
+    count of the module.  ``fold`` is the duality rule: every cell with
+    a + b > fold is read from the dual module's record at (n - b, m - a),
+    and it is m when D(M) = M, -1 when the module has preinjective but no
+    preprojective summands and no closed form, and m + n otherwise.
+    ``down_a`` is the position of the plus-reflected record of
+    recursion_a, ``dual`` that of the dual module's record and ``regular``
+    that of the record of the regular part M_R; all three are filled in on
+    first use.  ``memo`` maps (a, b) to a count; it is None when
+    memoization is off, and on a record with fold -1, which never reads it.
 
     ``t`` (the number of preinjective summands, with multiplicity) and
     ``a_i`` (their vertex-1 dimension) fix the defect-bound rules.  Each
@@ -134,8 +133,8 @@ class _Record:
     no submodule has b - a > t.  One with b - a = t contains M_I and,
     since Hom(R, P) = 0, is M_I plus a submodule of M_R of dimension
     (a - a_i, a - a_i).  ``regular_only`` turns that second rule off,
-    since it would map M = M_R to itself.  ``rigid`` switches on the
-    rigid rule, and ``self_dual`` (D(M) = M) the self-dual fold.
+    since it would map M = M_R to itself, and ``rigid`` switches on the
+    rigid rule.
     """
 
     def __init__(self, module: KroneckerDescriptor, closed, memoize: bool):
@@ -144,14 +143,17 @@ class _Record:
         self.t = sum(k for _, k in module.preinjective)
         self.a_i = sum(n * k for n, k in module.preinjective)
         self.regular_only = module.is_regular_only
-        self.self_dual = module.preprojective == module.preinjective
         self.rigid = ext_dim(module, module) == 0
         self.closed = closed
-        self.via_dual = closed is None and bool(module.preinjective) and not module.preprojective
+        self.fold = self.m + self.n
+        if module.preprojective == module.preinjective:
+            self.fold = self.m  # D(M) = M, and m = n
+        elif closed is None and not module.preprojective:  # preinjective only
+            self.fold = -1
         self.down_a: int | None = None
         self.dual: int | None = None
         self.regular: int | None = None
-        self.memo = {} if memoize and not self.via_dual else None
+        self.memo = {} if memoize and self.fold >= 0 else None
 
 
 class CountingEngine:
@@ -283,16 +285,13 @@ class CountingEngine:
             return self._count(self._regular(rec), a - rec.a_i, a - rec.a_i)
         if rec.rigid and a * (rec.m - a) + b * (rec.n - b) - 2 * b * (rec.m - a) < 0:
             return ZERO  # <e, alpha - e> < 0
-        if rec.self_dual and a + b > rec.m:
-            return self._count(rec, rec.n - b, rec.m - a)  # D(M) = M, and m = n
+        if a + b > rec.fold:
+            return self._count(self._dual(rec), rec.n - b, rec.m - a)
         memo = rec.memo
         if memo is not None:
             hit = memo.get((a, b))
             if hit is not None:
                 return hit
-        elif rec.via_dual:
-            # the dual's record checks and memoizes the value
-            return self._count(self._dual(rec), rec.n - b, rec.m - a)
         result = _checked(rec.module, a, b, self._dispatch(rec, a, b))
         if memo is not None:
             memo[(a, b)] = result

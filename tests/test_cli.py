@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -181,11 +182,13 @@ def test_count_at_decides_large_field_sizes_fast(capsys):
 
 def test_count_at_refuses_an_undecidable_field_size(capsys, monkeypatch):
     # the least strong pseudoprime to the 13 bases is composite, and the
-    # Mersenne prime 2^89 - 1 lies above it: neither can be decided, and
-    # both are refused before any counting
+    # Mersenne primes 2^89 - 1 and 2^4423 - 1 lie above it: none can be
+    # decided, and each is refused before any counting, after one base
     monkeypatch.setattr(cli, "CountingEngine", None)
-    for q in (cli._MR_PROVEN, 2**89 - 1, (2**89 - 1) ** 3):
+    for q in (cli._MR_PROVEN, 2**89 - 1, (2**89 - 1) ** 3, (2**4423 - 1) ** 3):
+        started = time.perf_counter()
         code, out, err = run(capsys, "count", "-m", "P1", "-d", "1,0", "--at", str(q))
+        assert time.perf_counter() - started < 1, q
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot decide whether {q} is a prime power: ")
         assert len(err.splitlines()) == 1
@@ -586,3 +589,70 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
         fresh.append(outcome(*argv))
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0]
+
+
+def _fuzz_module(rng, most=2, part=2):
+    """A descriptor of at most ``most`` summand terms with parts of at most
+    ``part``, or a malformed one."""
+    summands = []
+    for _ in range(rng.randint(1, most)):
+        kind = rng.choice("PIRR")
+        mult = rng.choice(["", "", "2*"]) if most > 1 else ""
+        if kind == "R":
+            parts = ",".join(str(rng.randint(1, part)) for _ in range(rng.randint(1, part)))
+            point = rng.choice(["p", "q", "r@2", "s@3"])
+            summands.append(f"{mult}R({point},[{parts}])")
+        else:
+            summands.append(f"{mult}{kind}{rng.randint(0, 2)}")
+    text = " + ".join(summands)
+    if rng.random() < 0.25:
+        # no digit goes in, so no number grows past the sizes above
+        cut = rng.randrange(len(text) + 1)
+        text = text[:cut] + rng.choice(["x", "-", ")", " + ", "@", "²", "*"]) + text[cut:]
+    return text
+
+
+def _fuzz_ints(rng, count):
+    """A comma list of small ints (dimensions or partition parts), or a
+    malformed one."""
+    text = ",".join(str(rng.randint(-1, 4)) for _ in range(count))
+    return text if rng.random() < 0.75 else rng.choice(["", "1,", "a,b", " 2", "1;0", "-", "²"])
+
+
+def test_random_small_argv_keep_the_exit_code_contract(capsys):
+    # every argv here is one that argparse accepts (a field starting with
+    # '-' is attached to its option), so main() itself answers each one:
+    # with a documented exit code, at most one stderr line and no escaping
+    # exception
+    rng = random.Random(32)
+    for _ in range(300):
+        fmt = f"--format={rng.choice(['text', 'json', 'csv'])}"
+        command = rng.choice(["count", "table", "verify", "hall", "homext"])
+        if command == "hall":
+            argv = [command, fmt] + [
+                f"--{name}={_fuzz_ints(rng, rng.randint(1, 3))}" for name in ("lambda", "mu", "nu")
+            ]
+        elif command == "homext":
+            argv = [command, fmt, f"-x{_fuzz_module(rng)}", f"-y{_fuzz_module(rng)}"]
+        elif command == "verify":
+            # the oracle's walk grows as p^dim, so its modules stay tiny; one
+            # in ten is P12, where the work bound refuses the whole table
+            module = _fuzz_module(rng, 1, 1) if rng.random() < 0.9 else "P12"
+            argv = [command, fmt, f"--module={module}", f"--prime={rng.choice([2, 3, 5])}"]
+            if rng.random() < 0.5:
+                argv.append(f"--dim={_fuzz_ints(rng, 2)}")
+        else:
+            argv = [command, fmt, f"--module={_fuzz_module(rng)}"]
+            if rng.random() < 0.2:
+                argv.append("--no-cache")
+            if command == "count":
+                argv.append(f"--dim={_fuzz_ints(rng, 2)}")
+                if rng.random() < 0.3:
+                    argv.append(f"--at={rng.choice([-1, 0, 1, 2, 4, 6, 9, 10**6, 2**89 - 1])}")
+                if rng.random() < 0.2:
+                    argv.append("--euler")
+        code = main(argv)
+        _, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3, 4), argv
+        assert len(err.splitlines()) <= 1, (argv, err)
+        assert "Traceback" not in err, argv

@@ -610,10 +610,15 @@ def test_memo_off_gives_the_same_cells_on_random_modules():
 
     @hyp.settings(max_examples=40, deadline=None, database=None)
     @hyp.given(_random_modules(hyp.strategies, 12))
+    # a record read wholly from its dual, and a self-dual one
+    @hyp.example(parse_module("I2 + R(p,[1])"))
+    @hyp.example(parse_module("P1 + I1 + R(p,[2,1])"))
     def check(m):
         uncached = CountingEngine(memoize=False)
         for a, b in _cells(m):
             assert uncached.count(m, a, b) == cached.count(m, a, b), (m, a, b)
+        # tables run unsplit, through the duality rule of every record
+        assert uncached.table(m) == cached.table(m), m
 
     check()
 
